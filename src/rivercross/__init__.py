@@ -11,7 +11,6 @@ from .digraph import (
     Digraph,
     PathList,
     all_shortest_paths,
-    random_digraph,
     shortest_distance,
 )
 from .families import (
@@ -31,10 +30,7 @@ from .puzzle import (
     Move,
     ParamError,
     SpeciesPuzzle,
-    check_solution_path,
-    is_legal_state,
-    legal_boat_loads,
-    legal_moves,
+    Violation,
     mc_graph,
     mc_species,
     moves_to_path,
@@ -44,15 +40,10 @@ from .puzzle import (
     species_graph,
     spell_out,
     validate_params,
+    validate_solution,
     wolf_goat_cabbage,
 )
-from .strategies import (
-    Strategy,
-    Violation,
-    applicability,
-    build_strategy,
-    validate_solution,
-)
+from .strategies import Strategy, applicability, build_strategy
 from .transfer import (
     TransferOutcome,
     TransferTrace,
@@ -64,10 +55,6 @@ from .transfer import (
     transfer_step,
     transfer_trace,
 )
-from .walkcount import (
-    adjacency_matrix,
-    count_shortest_walks,
-    symbolic_shortest_paths,
-)
+from .walkcount import count_shortest_walks
 
 __version__ = "0.1.0"

@@ -21,9 +21,10 @@ from .puzzle import (
     solve_mc,
     spell_out,
     validate_params,
+    validate_solution,
 )
-from .strategies import Strategy, applicability, build_strategy, validate_solution
-from .transfer import format_polynomial, solve_by_transfer, transfer_trace
+from .strategies import Strategy, applicability, build_strategy
+from .transfer import format_polynomial, monomial_sort_key, solve_and_trace, solve_by_transfer
 from .walkcount import count_shortest_walks
 
 EXIT_OK = 0
@@ -132,15 +133,6 @@ def _params(args) -> McParams:
     return p
 
 
-def _params_dict(p: McParams) -> dict:
-    return {
-        "missionaries": p.missionaries,
-        "cannibals": p.cannibals,
-        "boat_capacity": p.boat_capacity,
-        "safety_margin": p.safety_margin,
-    }
-
-
 def _params_line(p: McParams) -> str:
     return (f"M={p.missionaries} C={p.cannibals} "
             f"B={p.boat_capacity} d={p.safety_margin}")
@@ -154,7 +146,7 @@ def _json_count(count: int):
 def _cmd_solve(args) -> tuple[dict, int]:
     p = _params(args)
     result = solve_mc(p)
-    payload: dict = {"command": "solve", "params": _params_dict(p)}
+    payload: dict = {"command": "solve", "params": p._asdict()}
     if result is None:
         payload.update({"solvable": False, "crossings": None, "count": None, "solutions": []})
         payload["text"] = (f"{_params_line(p)}\n"
@@ -178,7 +170,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_spell(args) -> tuple[dict, int]:
     p = _params(args)
     result = solve_mc(p)
-    payload: dict = {"command": "spell", "params": _params_dict(p), "index": args.index}
+    payload: dict = {"command": "spell", "params": p._asdict(), "index": args.index}
     if result is None:
         payload.update({"solvable": False, "transcript": []})
         payload["text"] = f"{_params_line(p)}\nUNSOLVABLE: nothing to spell out"
@@ -211,7 +203,7 @@ def _count_by_method(p: McParams, method: str):
 def _cmd_count(args) -> tuple[dict, int]:
     p = _params(args)
     result = _count_by_method(p, args.method)
-    payload: dict = {"command": "count", "params": _params_dict(p), "method": args.method}
+    payload: dict = {"command": "count", "params": p._asdict(), "method": args.method}
     if result is None:
         payload.update({"solvable": False, "crossings": None, "count": None})
         payload["text"] = f"{_params_line(p)}\nmethod: {args.method}\nUNSOLVABLE"
@@ -224,27 +216,27 @@ def _cmd_count(args) -> tuple[dict, int]:
 
 
 def _poly_json(poly) -> list:
-    from .transfer import monomial_sort_key
     return [[poly[mono], list(mono)] for mono in sorted(poly, key=monomial_sort_key)]
 
 
 def _cmd_trace(args) -> tuple[dict, int]:
     p = _params(args)
+    if args.steps is not None and args.steps < 0:
+        raise ValueError("stages must be non-negative")
     sp = mc_species(p)
-    outcome = solve_by_transfer(sp)
-    if args.steps is not None:
-        stages = args.steps
-    else:
-        stages = outcome.iterations_run
-    trace = transfer_trace(sp, stages)
-    lines = [_params_line(p), f"f0 = {format_polynomial(trace.initial)}"]
-    polys = {"f0": _poly_json(trace.initial)}
+    outcome, trace = solve_and_trace(sp)
+    stages = args.steps if args.steps is not None else outcome.iterations_run
+    initial = {sp.amounts: 1}
+    lines = [_params_line(p), f"f0 = {format_polynomial(initial)}"]
+    polys = {"f0": _poly_json(initial)}
     stop = outcome.success_index if outcome.solvable and args.steps is None else None
-    for i, (g, f) in enumerate(trace.steps, start=1):
+    for i in range(1, stages + 1):
+        g = next(trace)
         lines.append(f"g{i} = {format_polynomial(g)}")
         polys[f"g{i}"] = _poly_json(g)
-        if stop is not None and i == stop:
+        if i == stop:
             break
+        f = next(trace)
         lines.append(f"f{i} = {format_polynomial(f)}")
         polys[f"f{i}"] = _poly_json(f)
     if args.steps is None:
@@ -258,7 +250,7 @@ def _cmd_trace(args) -> tuple[dict, int]:
                 f"{outcome.states_bound} legal states, so the instance is UNSOLVABLE")
     payload = {
         "command": "trace",
-        "params": _params_dict(p),
+        "params": p._asdict(),
         "solvable": outcome.solvable,
         "states_bound": outcome.states_bound,
         "polynomials": polys,
@@ -274,21 +266,12 @@ def _family(args) -> FamilySpec:
     return fs
 
 
-def _family_dict(fs: FamilySpec) -> dict:
-    return {
-        "surplus": fs.surplus,
-        "boat_capacity": fs.boat_capacity,
-        "safety_margin": fs.safety_margin,
-        "num_terms": fs.num_terms,
-    }
-
-
 def _cmd_sequence(args) -> tuple[dict, int]:
     fs = _family(args)
     counts = family_counts(fs)
     payload = {
         "command": "sequence",
-        "family": _family_dict(fs),
+        "family": fs._asdict(),
         "terms": [None if v is None else _json_count(v) for v in counts],
         "text": format_terms(counts),
     }
@@ -300,7 +283,7 @@ def _cmd_conjecture(args) -> tuple[dict, int]:
     report = conjecture_report(fs, args.max_order)
     payload: dict = {
         "command": "conjecture",
-        "family": _family_dict(fs),
+        "family": fs._asdict(),
         "terms": [None if v is None else _json_count(v) for v in report.counts],
         "recurrence": None,
         "gf": None,
@@ -324,7 +307,7 @@ def _cmd_conjecture(args) -> tuple[dict, int]:
 def _cmd_strategy(args) -> tuple[dict, int]:
     p = _params(args)
     names = sorted(s.value for s in applicability(p))
-    payload: dict = {"command": "strategy", "params": _params_dict(p), "applicable": names}
+    payload: dict = {"command": "strategy", "params": p._asdict(), "applicable": names}
     if args.name is None:
         text = f"{_params_line(p)}\napplicable: " + (" ".join(names) if names else "(none)")
         payload["text"] = text

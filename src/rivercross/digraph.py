@@ -6,7 +6,6 @@ and the sink is vertex n, but every function takes explicit endpoints.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -56,18 +55,7 @@ class PathList(NamedTuple):
 def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
     """Minimal edge count of a walk from source to target, or None if unreachable."""
     _check_vertex(g, source)
-    _check_vertex(g, target)
-    dist: dict[int, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if u == target:
-            return dist[u]
-        for v in g.out(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return None
+    return distances_to(g, target)[source]
 
 
 def distances_to(g: Digraph, target: int) -> list[int | None]:
@@ -115,24 +103,6 @@ def all_shortest_paths(g: Digraph, source: int, target: int) -> PathList | None:
 
     descend(source)
     return PathList(length, tuple(paths))
-
-
-def random_digraph(n: int, edge_probability: float, seed: int) -> Digraph:
-    """Random digraph: each ordered pair (i, j), i != j, is an edge with the given probability.
-
-    Driven by the Mersenne Twister (random.Random) seeded with `seed`; pairs are
-    drawn in row-major order, so output is reproducible across runs and platforms.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    if not 0 <= edge_probability <= 1:
-        raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(tuple(j for j in range(1, n + 1)
-                          if j != i and rng.random() < edge_probability))
-    return Digraph(tuple(rows))
 
 
 def _check_vertex(g: Digraph, v: int) -> None:

@@ -1,4 +1,4 @@
-"""Puzzle model: parameters, bank states, legal moves, and state graphs.
+"""Puzzle model: parameters, bank states, state graphs, and move-script checks.
 
 The classic instance has a crew of missionaries and cannibals crossing a river
 in a small boat.  A state records how many of each group stand on the starting
@@ -11,7 +11,9 @@ wolf-goat-cabbage through caller-supplied bank and boat predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import add, le, sub
 from typing import Callable, NamedTuple
 
 from .digraph import Digraph, all_shortest_paths
@@ -71,52 +73,6 @@ def validate_params(p: McParams) -> None:
         )
 
 
-def bank_ok(p: McParams, m: int, c: int) -> bool:
-    """Bank rule: with both groups present, missionaries lead by at least the margin."""
-    return not (m > 0 and c > 0 and m - c < p.safety_margin)
-
-
-def is_legal_state(p: McParams, s: BankState) -> bool:
-    """True when both banks satisfy the outnumbering rule.  Rejects out-of-range states."""
-    m, c, boat = s
-    if not (0 <= m <= p.missionaries and 0 <= c <= p.cannibals and boat in (0, 1)):
-        raise ValueError(f"state {tuple(s)} out of range for {tuple(p)}")
-    return bank_ok(p, m, c) and bank_ok(p, p.missionaries - m, p.cannibals - c)
-
-
-def legal_boat_loads(p: McParams) -> tuple[tuple[int, int], ...]:
-    """Every load (e1 missionaries, e2 cannibals) the boat may carry, in (e1, e2) order."""
-    out = []
-    for e1 in range(p.boat_capacity + 1):
-        for e2 in range(p.boat_capacity - e1 + 1):
-            if e1 + e2 == 0:
-                continue
-            if e1 > 0 and e2 > 0 and e1 - e2 < p.safety_margin:
-                continue
-            out.append((e1, e2))
-    return tuple(sorted(out))
-
-
-def legal_moves(p: McParams, s: BankState) -> list[tuple[Move, BankState]]:
-    """All legal crossings from state s with the states they lead to, sorted by load."""
-    if not is_legal_state(p, s):
-        raise ValueError(f"state {tuple(s)} is not legal")
-    m, c, boat = s
-    forward = boat == 1
-    out = []
-    for e1, e2 in legal_boat_loads(p):
-        if forward:
-            nm, nc = m - e1, c - e2
-        else:
-            nm, nc = m + e1, c + e2
-        if not (0 <= nm <= p.missionaries and 0 <= nc <= p.cannibals):
-            continue
-        nxt = BankState(nm, nc, 1 - boat)
-        if is_legal_state(p, nxt):
-            out.append((Move(e1, e2, forward), nxt))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Generic multi-species puzzles
 # ---------------------------------------------------------------------------
@@ -147,6 +103,11 @@ class SpeciesPuzzle:
     def species_count(self) -> int:
         return len(self.amounts)
 
+    @cached_property
+    def loads(self) -> tuple[tuple[int, ...], ...]:
+        """`species_loads` of this puzzle, computed once."""
+        return species_loads(self)
+
 
 SpeciesState = tuple[tuple[int, ...], int]  # (populations on start bank, boat flag)
 
@@ -174,24 +135,51 @@ def species_state_ok(sp: SpeciesPuzzle, populations: tuple[int, ...], boat_on_st
     return sp.bank_rule(populations, boat_on_start) and sp.bank_rule(far, not boat_on_start)
 
 
+def species_states(sp: SpeciesPuzzle) -> list[SpeciesState]:
+    """Every (populations, boat flag) state with both banks safe, in lexicographic order.
+
+    Raises ValueError when the initial position itself is unsafe: such a
+    puzzle is ill-posed, not unsolvable.
+    """
+    if not species_state_ok(sp, sp.amounts, True):
+        raise ValueError("initial position violates the bank rule")
+    return [(vec, flag)
+            for vec in product(*(range(a + 1) for a in sp.amounts))
+            for flag in (0, 1)
+            if species_state_ok(sp, vec, flag == 1)]
+
+
+def _shifted(sp: SpeciesPuzzle, vec: tuple[int, ...], forward: bool) -> list[tuple[int, ...]]:
+    """Start-bank populations after each of the puzzle's loads crosses from `vec`.
+
+    A forward crossing leaves the start bank, a return crossing the far bank;
+    a load fits only if the bank it leaves holds everyone aboard.
+    """
+    if forward:
+        room, step = vec, sub
+    else:
+        room, step = tuple(map(sub, sp.amounts, vec)), add
+    return [tuple(map(step, vec, load)) for load in sp.loads if all(map(le, load, room))]
+
+
 def mc_species(p: McParams) -> SpeciesPuzzle:
-    """The missionaries-and-cannibals instance expressed as a two-species puzzle."""
+    """The missionaries-and-cannibals instance expressed as a two-species puzzle.
+
+    One predicate is both the bank rule and the boat rule: wherever both groups
+    are present, the missionaries lead by at least the safety margin.
+    """
     margin = p.safety_margin
 
-    def bank_rule(v: tuple[int, ...], boat_present: bool) -> bool:
-        m, c = v
+    def safe(group: tuple[int, ...], boat_present: bool = False) -> bool:
+        m, c = group
         return not (m > 0 and c > 0 and m - c < margin)
-
-    def boat_rule(load: tuple[int, ...]) -> bool:
-        e1, e2 = load
-        return not (e1 > 0 and e2 > 0 and e1 - e2 < margin)
 
     return SpeciesPuzzle(
         names=("missionaries", "cannibals"),
         amounts=(p.missionaries, p.cannibals),
         boat_capacity=p.boat_capacity,
-        bank_rule=bank_rule,
-        boat_rule=boat_rule,
+        bank_rule=safe,
+        boat_rule=safe,
     )
 
 
@@ -226,35 +214,13 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     """
     initial: SpeciesState = (sp.amounts, 1)
     goal: SpeciesState = (tuple(0 for _ in sp.amounts), 0)
-    if not species_state_ok(sp, sp.amounts, True):
-        raise ValueError("initial position violates the bank rule")
-
-    states = set()
-    for vec in product(*(range(a + 1) for a in sp.amounts)):
-        for flag in (0, 1):
-            if species_state_ok(sp, vec, flag == 1):
-                states.add((vec, flag))
-    middle = sorted(states - {initial, goal})
+    middle = [s for s in species_states(sp) if s != initial and s != goal]
     ordered = (initial, *middle, goal)
     index = {state: i + 1 for i, state in enumerate(ordered)}
-
-    loads = species_loads(sp)
     rows = []
     for vec, flag in ordered:
-        row = []
-        for load in loads:
-            if flag == 1:
-                nxt = tuple(v - l for v, l in zip(vec, load))
-                if any(x < 0 for x in nxt):
-                    continue
-            else:
-                nxt = tuple(v + l for v, l in zip(vec, load))
-                if any(x > a for x, a in zip(nxt, sp.amounts)):
-                    continue
-            j = index.get((nxt, 1 - flag))
-            if j is not None:
-                row.append(j)
-        rows.append(tuple(sorted(set(row))))
+        targets = (index.get((nxt, 1 - flag)) for nxt in _shifted(sp, vec, flag == 1))
+        rows.append(tuple(sorted({j for j in targets if j is not None})))
     return Digraph(tuple(rows)), ordered
 
 
@@ -268,26 +234,26 @@ def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:
 
 def solve_species(sp: SpeciesPuzzle) -> tuple[int, tuple[tuple[SpeciesState, ...], ...]] | None:
     """All shortest solutions of a species puzzle as state sequences, or None."""
-    graph, states = species_graph(sp)
-    found = all_shortest_paths(graph, 1, graph.n)
-    if found is None:
-        return None
-    decoded = sorted(tuple(states[v - 1] for v in path) for path in found.paths)
-    return found.length, tuple(decoded)
+    return _shortest_solutions(*species_graph(sp))
 
 
 def solve_mc(p: McParams) -> tuple[int, tuple[StatePath, ...]] | None:
     """All shortest MC solutions, sorted lexicographically by state sequence, or None."""
-    graph, states = mc_graph(p)
+    return _shortest_solutions(*mc_graph(p))
+
+
+def _shortest_solutions(graph: Digraph, states: tuple) -> tuple[int, tuple[tuple, ...]] | None:
     found = all_shortest_paths(graph, 1, graph.n)
     if found is None:
         return None
-    decoded = sorted(tuple(states[v - 1] for v in path) for path in found.paths)
-    return found.length, tuple(decoded)
+    # Paths come out in lexicographic vertex order, and the vertices between the
+    # initial state (1) and the goal (n) are numbered in state order, so the
+    # decoded state sequences are already sorted.
+    return found.length, tuple(tuple(states[v - 1] for v in path) for path in found.paths)
 
 
 # ---------------------------------------------------------------------------
-# Bridging between state paths and move scripts
+# Move scripts: bridging to state paths, and validation
 # ---------------------------------------------------------------------------
 
 
@@ -315,27 +281,64 @@ def moves_to_path(p: McParams, moves: tuple[Move, ...]) -> StatePath:
     return tuple(out)
 
 
-def check_solution_path(p: McParams, path: StatePath) -> None:
-    """Raise ValueError at the first defect of a purported solution path."""
-    initial = BankState(p.missionaries, p.cannibals, 1)
-    goal = BankState(0, 0, 0)
-    if not path or path[0] != initial:
-        raise ValueError("index 0: path must start at the initial state")
-    seen = {path[0]}
-    for i, (a, b) in enumerate(zip(path, path[1:])):
-        legal_targets = {nxt for _, nxt in legal_moves(p, a)}
-        if b not in legal_targets:
-            raise ValueError(f"index {i}: no legal crossing from {tuple(a)} to {tuple(b)}")
-        if b in seen:
-            raise ValueError(f"index {i + 1}: state {tuple(b)} repeats")
-        seen.add(b)
-    if path[-1] != goal:
-        raise ValueError(f"index {len(path) - 1}: path ends at {tuple(path[-1])}, not the goal")
+@dataclass(frozen=True)
+class Violation:
+    index: int
+    rule: str
+    message: str
+
+
+def validate_solution(p: McParams, moves: tuple[Move, ...]) -> Violation | None:
+    """Check a move script from the initial state; None means fully legal and complete."""
+    sp = mc_species(p)
+    path = moves_to_path(p, moves)
+    for idx, (mv, before, (m, c, boat)) in enumerate(zip(moves, path, path[1:])):
+        e1, e2 = mv.missionaries, mv.cannibals
+        if e1 < 0 or e2 < 0:
+            return Violation(idx, "load-range", f"negative load {mv.render()}")
+        if e1 + e2 == 0:
+            return Violation(idx, "empty-boat", "the boat cannot cross empty")
+        if e1 + e2 > p.boat_capacity:
+            return Violation(
+                idx, "boat-capacity",
+                f"load {mv.render()} exceeds capacity {p.boat_capacity}")
+        if not sp.boat_rule((e1, e2)):
+            return Violation(
+                idx, "boat-balance",
+                f"load {mv.render()} violates the margin {p.safety_margin}")
+        if mv.forward != (before.boat == 1):
+            return Violation(idx, "boat-side", "move direction does not match the boat's bank")
+        if not (0 <= m <= p.missionaries and 0 <= c <= p.cannibals):
+            bank = "start" if mv.forward else "far"
+            return Violation(idx, "availability", f"not enough people on the {bank} bank")
+        if not species_state_ok(sp, (m, c), boat == 1):
+            return Violation(
+                idx, "bank-balance",
+                f"state {(m, c, boat)} leaves missionaries outnumbered beyond the margin")
+    if path[-1] != (0, 0, 0):
+        return Violation(len(moves), "incomplete", f"script ends at {tuple(path[-1])}, not the goal")
+    return None
 
 
 def spell_out(p: McParams, path: StatePath) -> str:
-    """Spell a solution out crossing by crossing, ending with a completion line."""
-    check_solution_path(p, path)
+    """Spell a solution out crossing by crossing, ending with a completion line.
+
+    Raises ValueError, naming the index of the first defect, unless `path` is
+    a solution that visits no state twice.
+    """
+    if not path or path[0] != BankState(p.missionaries, p.cannibals, 1):
+        raise ValueError("index 0: path must start at the initial state")
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if b.boat != 1 - a.boat:
+            raise ValueError(f"index {i}: the boat does not cross from {tuple(a)} to {tuple(b)}")
+    violation = validate_solution(p, path_to_moves(path))
+    if violation is not None:
+        raise ValueError(f"index {violation.index}: {violation.message}")
+    seen = set()
+    for i, state in enumerate(path):
+        if state in seen:
+            raise ValueError(f"index {i}: state {tuple(state)} repeats")
+        seen.add(state)
     lines = []
     for i, move in enumerate(path_to_moves(path), start=1):
         after = path[i]

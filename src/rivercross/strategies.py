@@ -9,9 +9,9 @@ minimal.  The conditions are sufficient only; their failure proves nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .puzzle import McParams, Move, bank_ok, validate_params
+from .puzzle import BankState, McParams, Move, moves_to_path, validate_params
+from .puzzle import Violation, validate_solution  # noqa: F401  (re-exported)
 
 
 class Strategy(enum.Enum):
@@ -22,13 +22,6 @@ class Strategy(enum.Enum):
     SIMULTANEOUS_FERRY = "SimultaneousFerry"
     ZERO_MARGIN_SLACK = "ZeroMarginSlack"
     ZERO_MARGIN_EQUAL_BIG_BOAT = "ZeroMarginEqualBigBoat"
-
-
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    rule: str
-    message: str
 
 
 def applicability(p: McParams) -> set[Strategy]:
@@ -70,43 +63,6 @@ def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
         Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT: _zero_margin_equal_big_boat,
     }[strategy]
     return _trim_at_goal(p, builder(p))
-
-
-def validate_solution(p: McParams, moves: tuple[Move, ...]) -> Violation | None:
-    """Simulate a move script from the initial state; None means fully legal and complete."""
-    m, c, boat = p.missionaries, p.cannibals, 1
-    for idx, mv in enumerate(moves):
-        e1, e2 = mv.missionaries, mv.cannibals
-        if e1 < 0 or e2 < 0:
-            return Violation(idx, "load-range", f"negative load {mv.render()}")
-        if e1 + e2 == 0:
-            return Violation(idx, "empty-boat", "the boat cannot cross empty")
-        if e1 + e2 > p.boat_capacity:
-            return Violation(
-                idx, "boat-capacity",
-                f"load {mv.render()} exceeds capacity {p.boat_capacity}")
-        if e1 > 0 and e2 > 0 and e1 - e2 < p.safety_margin:
-            return Violation(
-                idx, "boat-balance",
-                f"load {mv.render()} violates the margin {p.safety_margin}")
-        if mv.forward != (boat == 1):
-            return Violation(idx, "boat-side", "move direction does not match the boat's bank")
-        if mv.forward:
-            if e1 > m or e2 > c:
-                return Violation(idx, "availability", "not enough people on the start bank")
-            m, c = m - e1, c - e2
-        else:
-            if e1 > p.missionaries - m or e2 > p.cannibals - c:
-                return Violation(idx, "availability", "not enough people on the far bank")
-            m, c = m + e1, c + e2
-        boat = 1 - boat
-        if not (bank_ok(p, m, c) and bank_ok(p, p.missionaries - m, p.cannibals - c)):
-            return Violation(
-                idx, "bank-balance",
-                f"state {(m, c, boat)} leaves missionaries outnumbered beyond the margin")
-    if (m, c, boat) != (0, 0, 0):
-        return Violation(len(moves), "incomplete", f"script ends at {(m, c, boat)}, not the goal")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +210,6 @@ def _zero_margin_equal_big_boat(p: McParams) -> tuple[Move, ...]:
 
 def _trim_at_goal(p: McParams, moves: tuple[Move, ...]) -> tuple[Move, ...]:
     """Cut a script at the first moment everyone is across (some recipes overshoot)."""
-    m, c, boat = p.missionaries, p.cannibals, 1
-    for idx, mv in enumerate(moves):
-        sign = -1 if mv.forward else 1
-        m += sign * mv.missionaries
-        c += sign * mv.cannibals
-        boat = 1 - boat
-        if (m, c, boat) == (0, 0, 0):
-            return moves[: idx + 1]
-    return moves
+    path = moves_to_path(p, moves)
+    goal = BankState(0, 0, 0)
+    return moves[: path.index(goal)] if goal in path else moves

@@ -13,9 +13,10 @@ one stage more than the number of legal states, no solution exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import tee
+from typing import Iterator
 
-from .puzzle import SpeciesPuzzle, species_loads, species_state_ok
+from .puzzle import SpeciesPuzzle, _shifted, species_state_ok, species_states
 
 Exponents = tuple[int, ...]
 Polynomial = dict[Exponents, int]
@@ -41,7 +42,7 @@ class TransferTrace:
 
 def crossing_polynomial(sp: SpeciesPuzzle) -> Polynomial:
     """One monomial per legal boat load, each with coefficient 1."""
-    return {load: 1 for load in species_loads(sp)}
+    return {load: 1 for load in sp.loads}
 
 
 def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynomial:
@@ -64,19 +65,9 @@ def transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynom
     clean with the boat on the far side; return crossings add and clean with
     the boat back at the start.
     """
-    loads = species_loads(sp)
-    amounts = sp.amounts
     acc: Polynomial = {}
     for mono, coeff in poly.items():
-        for load in loads:
-            if forward:
-                shifted = tuple(e - l for e, l in zip(mono, load))
-                if any(x < 0 for x in shifted):
-                    continue
-            else:
-                shifted = tuple(e + l for e, l in zip(mono, load))
-                if any(x > a for x, a in zip(shifted, amounts)):
-                    continue
+        for shifted in _shifted(sp, mono, forward):
             acc[shifted] = acc.get(shifted, 0) + coeff
     return cleanup(acc, sp, boat_on_start=not forward)
 
@@ -87,27 +78,30 @@ def legal_state_bound(sp: SpeciesPuzzle) -> int:
     For puzzles whose bank rule ignores the boat this is the number of legal
     population vectors; otherwise each (vector, boat side) pair counts.
     """
-    with_boat = set()
-    without_boat = set()
-    for vec in product(*(range(a + 1) for a in sp.amounts)):
-        if species_state_ok(sp, vec, True):
-            with_boat.add(vec)
-        if species_state_ok(sp, vec, False):
-            without_boat.add(vec)
-    if with_boat == without_boat:
+    states = species_states(sp)
+    with_boat = {vec for vec, flag in states if flag}
+    if with_boat == {vec for vec, flag in states if not flag}:
         return len(with_boat)
-    return len(with_boat) + len(without_boat)
+    return len(states)
 
 
-def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
-    """Run the alternating iteration until a constant term appears or the bound is exhausted."""
+def _stages(sp: SpeciesPuzzle) -> Iterator[Polynomial]:
+    """The polynomials g1, f1, g2, f2, ..., each computed only when asked for."""
+    poly: Polynomial = {sp.amounts: 1}
+    forward = True
+    while True:
+        poly = transfer_step(poly, sp, forward)
+        yield poly
+        forward = not forward
+
+
+def _verdict(sp: SpeciesPuzzle, polys: Iterator[Polynomial]) -> TransferOutcome:
+    """Read g1, f1, g2, ... until a constant term appears or the bound is exhausted."""
     bound = legal_state_bound(sp)
     zero = tuple(0 for _ in sp.amounts)
-    here: Polynomial = {sp.amounts: 1}
-    limit = bound + 1
     i = 0
-    for i in range(1, limit + 1):
-        across = transfer_step(here, sp, forward=True)
+    for i in range(1, bound + 2):
+        across = next(polys)
         constant = across.get(zero, 0)
         if constant:
             return TransferOutcome(
@@ -120,7 +114,7 @@ def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
             )
         if not across:
             break
-        here = transfer_step(across, sp, forward=False)
+        next(polys)
     return TransferOutcome(
         solvable=False,
         crossings=None,
@@ -131,18 +125,27 @@ def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
     )
 
 
+def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
+    """Run the alternating iteration until a constant term appears or the bound is exhausted."""
+    return _verdict(sp, _stages(sp))
+
+
+def solve_and_trace(sp: SpeciesPuzzle) -> tuple[TransferOutcome, Iterator[Polynomial]]:
+    """The verdict of `solve_by_transfer` and the polynomials g1, f1, g2, f2, ... of one pass.
+
+    The polynomials the verdict read are replayed; later ones are computed on demand.
+    """
+    verdict_reads, trace = tee(_stages(sp))
+    return _verdict(sp, verdict_reads), trace
+
+
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
     """Compute the first `stages` (forward, back) polynomial pairs for inspection."""
     if stages < 0:
         raise ValueError("stages must be non-negative")
-    here: Polynomial = {sp.amounts: 1}
-    initial = dict(here)
-    steps = []
-    for _ in range(stages):
-        across = transfer_step(here, sp, forward=True)
-        here = transfer_step(across, sp, forward=False)
-        steps.append((across, here))
-    return TransferTrace(initial, tuple(steps))
+    polys = _stages(sp)
+    steps = tuple((next(polys), next(polys)) for _ in range(stages))
+    return TransferTrace({sp.amounts: 1}, steps)
 
 
 def monomial_sort_key(mono: Exponents) -> tuple:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rivercross import transfer
 from rivercross.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +84,32 @@ class TestGoldenText:
     def test_sequence_with_unsolvable_markers(self, capsys):
         _, out, _ = run(capsys, "sequence", "0", "2", "0", "5")
         assert out == golden("sequence_0_2_0_5.txt")
+
+
+class TestTrace:
+    @pytest.mark.parametrize("argv, steps", [
+        (("3", "3", "2", "0"), 11),               # g1..g6 and f1..f5
+        (("4", "4", "2", "0", "--steps", "20"), 40),
+    ])
+    def test_each_stage_computed_once(self, capsys, monkeypatch, argv, steps):
+        real = transfer.transfer_step
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transfer, "transfer_step", counted)
+        for fmt in ("text", "json"):
+            calls.clear()
+            status, _, _ = run(capsys, "trace", *argv, "--format", fmt)
+            assert status == 0
+            assert len(calls) == steps
+
+    def test_negative_steps_is_usage_error(self, capsys):
+        status, _, err = run(capsys, "trace", "3", "3", "2", "0", "--steps", "-1")
+        assert status == 1
+        assert "non-negative" in err
 
 
 class TestJson:

@@ -1,12 +1,8 @@
 import pytest
 
-from rivercross.digraph import (
-    Digraph,
-    PathList,
-    all_shortest_paths,
-    random_digraph,
-    shortest_distance,
-)
+from rivercross.digraph import Digraph, PathList, all_shortest_paths, shortest_distance
+
+from reference import random_digraph
 
 
 def g_from_edges(n, edges):

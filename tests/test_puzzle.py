@@ -7,10 +7,7 @@ from rivercross import (
     McParams,
     Move,
     ParamError,
-    check_solution_path,
-    is_legal_state,
-    legal_boat_loads,
-    legal_moves,
+    SpeciesPuzzle,
     mc_graph,
     mc_species,
     moves_to_path,
@@ -22,7 +19,8 @@ from rivercross import (
     validate_params,
     wolf_goat_cabbage,
 )
-from rivercross.puzzle import species_loads
+from rivercross.puzzle import species_loads, species_state_ok
+from rivercross.transfer import solve_by_transfer
 
 from classic import CLASSIC, CLASSIC_SOLUTIONS
 
@@ -48,6 +46,37 @@ def legal_vectors(p):
                 continue
             out.append((m, c))
     return out
+
+
+def oracle_successors(p, s):
+    """Oracle: states one legal crossing away from s, by direct inequality."""
+    legal = set(legal_vectors(p))
+    sign = -1 if s.boat == 1 else 1
+    out = set()
+    for e1 in range(p.boat_capacity + 1):
+        for e2 in range(p.boat_capacity - e1 + 1):
+            if e1 + e2 == 0 or (e1 > 0 and e2 > 0 and e1 - e2 < p.safety_margin):
+                continue
+            nxt = (s.missionaries + sign * e1, s.cannibals + sign * e2)
+            if nxt in legal:
+                out.add(BankState(*nxt, 1 - s.boat))
+    return out
+
+
+def is_legal_state(p, s):
+    """Whether both banks of s are safe, by the puzzle's own bank rule."""
+    return species_state_ok(mc_species(p), (s.missionaries, s.cannibals), s.boat == 1)
+
+
+def boat_loads(p):
+    return species_loads(mc_species(p))
+
+
+def legal_moves(p, s):
+    """The crossings out of s with the states they lead to, read off the state graph, by load."""
+    graph, states = mc_graph(p)
+    successors = (states[w - 1] for w in graph.out(states.index(s) + 1))
+    return sorted((path_to_moves((s, nxt))[0], nxt) for nxt in successors)
 
 
 class TestValidateParams:
@@ -84,8 +113,10 @@ class TestLegalState:
         assert is_legal_state(CLASSIC, BankState(0, 2, 0))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            is_legal_state(CLASSIC, BankState(4, 0, 1))
+        # A return crossing that would put a fourth missionary on the start bank.
+        path = (BankState(3, 3, 1), BankState(3, 2, 0), BankState(4, 2, 1))
+        with pytest.raises(ValueError, match="index 1"):
+            spell_out(CLASSIC, path)
 
     def test_margin_applies_to_both_banks(self):
         p = McParams(5, 3, 3, 1)
@@ -104,26 +135,22 @@ class TestLegalState:
 
 class TestBoatLoads:
     def test_classic_loads(self):
-        assert set(legal_boat_loads(CLASSIC)) == {(1, 0), (2, 0), (0, 1), (0, 2), (1, 1)}
+        assert set(boat_loads(CLASSIC)) == {(1, 0), (2, 0), (0, 1), (0, 2), (1, 1)}
 
     def test_margin_one_excludes_balanced_pair(self):
-        assert set(legal_boat_loads(McParams(5, 3, 2, 1))) == {(1, 0), (2, 0), (0, 1), (0, 2)}
+        assert set(boat_loads(McParams(5, 3, 2, 1))) == {(1, 0), (2, 0), (0, 1), (0, 2)}
 
     def test_boat_three_margin_one(self):
-        assert set(legal_boat_loads(McParams(9, 3, 3, 1))) == {
+        assert set(boat_loads(McParams(9, 3, 3, 1))) == {
             (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (2, 1)
         }
 
     def test_margin_two_boat_two_loses_all_mixed(self):
-        assert set(legal_boat_loads(McParams(9, 3, 2, 2))) == {(1, 0), (2, 0), (0, 1), (0, 2)}
+        assert set(boat_loads(McParams(9, 3, 2, 2))) == {(1, 0), (2, 0), (0, 1), (0, 2)}
 
     def test_sorted_output(self):
-        loads = legal_boat_loads(McParams(9, 3, 4, 1))
+        loads = boat_loads(McParams(9, 3, 4, 1))
         assert list(loads) == sorted(loads)
-
-    def test_matches_species_loads(self):
-        for p in grid_instances(4, 4, 5, 2):
-            assert legal_boat_loads(p) == species_loads(mc_species(p))
 
 
 class TestLegalMoves:
@@ -146,19 +173,22 @@ class TestLegalMoves:
 
     def test_never_produces_illegal_state(self):
         for p in grid_instances():
-            for m in range(p.missionaries + 1):
-                for c in range(p.cannibals + 1):
-                    for b in (0, 1):
-                        s = BankState(m, c, b)
-                        if not is_legal_state(p, s):
-                            continue
-                        for mv, nxt in legal_moves(p, s):
-                            assert is_legal_state(p, nxt)
-                            assert 0 < mv.missionaries + mv.cannibals <= p.boat_capacity
+            graph, states = mc_graph(p)
+            legal = set(legal_vectors(p))
+            for i, j in graph.edges():
+                a, b = states[i - 1], states[j - 1]
+                assert (a.missionaries, a.cannibals) in legal
+                assert (b.missionaries, b.cannibals) in legal
+                (mv,) = path_to_moves((a, b))
+                assert 0 < mv.missionaries + mv.cannibals <= p.boat_capacity
 
     def test_rejects_illegal_source(self):
+        assert not is_legal_state(CLASSIC, BankState(1, 3, 1))
         with pytest.raises(ValueError):
             legal_moves(CLASSIC, BankState(1, 3, 1))
+        path = (BankState(3, 3, 1), BankState(1, 3, 0))
+        with pytest.raises(ValueError, match="index 0"):
+            spell_out(CLASSIC, path)
 
 
 class TestMcGraph:
@@ -178,11 +208,12 @@ class TestMcGraph:
         assert graph.n == 26
 
     def test_edges_match_legal_moves(self):
-        graph, states = mc_graph(CLASSIC)
-        index = {s: v for v, s in enumerate(states, start=1)}
-        for v, s in enumerate(states, start=1):
-            expected = sorted(index[nxt] for _, nxt in legal_moves(CLASSIC, s))
-            assert list(graph.out(v)) == expected
+        for p in (CLASSIC, *grid_instances(4, 4, 3, 2)):
+            graph, states = mc_graph(p)
+            index = {s: v for v, s in enumerate(states, start=1)}
+            for v, s in enumerate(states, start=1):
+                expected = sorted(index[nxt] for nxt in oracle_successors(p, s))
+                assert list(graph.out(v)) == expected
 
     def test_complement_involution_on_edges(self):
         for p in grid_instances(4, 4, 3, 1):
@@ -223,9 +254,23 @@ class TestSolveMc:
             crossings, solutions = result
             assert crossings % 2 == 1
             for sol in solutions:
-                check_solution_path(p, sol)
+                spell_out(p, sol)
                 moves = path_to_moves(sol)
                 assert [mv.forward for mv in moves] == [i % 2 == 0 for i in range(len(moves))]
+
+    def test_solutions_come_out_sorted(self):
+        # all_shortest_paths yields paths in vertex order and vertices are
+        # numbered in state order, so the solver needs no sort; the order of
+        # CLASSIC_SOLUTIONS and of the goldens rests on this.
+        solvable = 0
+        for p in grid_instances(8, 8, 5, 2):
+            result = solve_mc(p)
+            if result is not None:
+                solvable += 1
+                assert list(result[1]) == sorted(result[1]), p
+        assert solvable == 227
+        _, solutions = solve_species(wolf_goat_cabbage())
+        assert list(solutions) == sorted(solutions)
 
     def test_solution_set_closed_under_involution(self):
         for p in (CLASSIC, McParams(5, 5, 3, 0), McParams(6, 1, 3, 1)):
@@ -256,8 +301,6 @@ class TestSpeciesPuzzles:
         assert states == tuple(BankState(v[0], v[1], f) for v, f in raw)
 
     def test_single_species_trivial(self):
-        from rivercross import SpeciesPuzzle
-
         sp = SpeciesPuzzle(
             names=("sheep",),
             amounts=(2,),
@@ -269,8 +312,6 @@ class TestSpeciesPuzzles:
         assert result is not None and result[0] == 1
 
     def test_illegal_initial_position_rejected(self):
-        from rivercross import SpeciesPuzzle
-
         sp = SpeciesPuzzle(
             names=("a",),
             amounts=(1,),
@@ -280,6 +321,20 @@ class TestSpeciesPuzzles:
         )
         with pytest.raises(ValueError):
             species_graph(sp)
+        with pytest.raises(ValueError, match="initial position"):
+            solve_by_transfer(sp)
+
+    def test_boat_dependent_illegal_start_rejected_by_transfer(self):
+        # Legal once the boat has left, so the far-side states alone look fine.
+        sp = SpeciesPuzzle(
+            names=("a",),
+            amounts=(2,),
+            boat_capacity=2,
+            bank_rule=lambda v, boat: v[0] != 2 or not boat,
+            boat_rule=lambda load: True,
+        )
+        with pytest.raises(ValueError, match="initial position"):
+            solve_by_transfer(sp)
 
 
 class TestBridges:
@@ -290,17 +345,27 @@ class TestBridges:
 
     def test_check_rejects_wrong_start(self):
         with pytest.raises(ValueError, match="index 0"):
-            check_solution_path(CLASSIC, (BankState(2, 2, 1), BankState(0, 0, 0)))
+            spell_out(CLASSIC, (BankState(2, 2, 1), BankState(0, 0, 0)))
 
     def test_check_rejects_illegal_jump(self):
         path = (BankState(3, 3, 1), BankState(0, 0, 0))
         with pytest.raises(ValueError, match="index 0"):
-            check_solution_path(CLASSIC, path)
+            spell_out(CLASSIC, path)
 
     def test_check_rejects_repeat(self):
-        path = (BankState(3, 3, 1), BankState(2, 2, 0), BankState(3, 3, 1))
-        with pytest.raises(ValueError, match="repeats"):
-            check_solution_path(CLASSIC, path)
+        # A complete, legal script that loops back to the initial state once.
+        path = (BankState(3, 3, 1), BankState(2, 2, 0), *CLASSIC_SOLUTIONS[0])
+        with pytest.raises(ValueError, match="index 2: state \\(3, 3, 1\\) repeats"):
+            spell_out(CLASSIC, path)
+
+    def test_check_rejects_boat_staying_put(self):
+        path = (BankState(3, 3, 1), BankState(2, 2, 1))
+        with pytest.raises(ValueError, match="index 0"):
+            spell_out(CLASSIC, path)
+
+    def test_check_rejects_incomplete_path(self):
+        with pytest.raises(ValueError, match="index 2: .*not the goal"):
+            spell_out(CLASSIC, CLASSIC_SOLUTIONS[0][:3])
 
 
 class TestSpellOut:

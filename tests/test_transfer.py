@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from rivercross import McParams, mc_graph, mc_species, solve_mc, wolf_goat_cabbage
+from rivercross import McParams, mc_graph, mc_species, solve_mc, transfer, wolf_goat_cabbage
 from rivercross.transfer import (
     cleanup,
     crossing_polynomial,
@@ -101,6 +101,18 @@ class TestSolveByTransfer:
     def test_classic(self):
         out = solve_by_transfer(classic_species())
         assert out.solvable and (out.success_index, out.crossings, out.count) == (6, 11, 4)
+
+    def test_no_back_step_after_success(self, monkeypatch):
+        real = transfer.transfer_step
+        directions = []
+
+        def counted(poly, sp, forward):
+            directions.append(forward)
+            return real(poly, sp, forward)
+
+        monkeypatch.setattr(transfer, "transfer_step", counted)
+        assert solve_by_transfer(classic_species()).success_index == 6
+        assert directions == [True, False] * 5 + [True]
 
     def test_four_four_unsolvable(self):
         out = solve_by_transfer(mc_species(McParams(4, 4, 2, 0)))

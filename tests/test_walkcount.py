@@ -1,9 +1,11 @@
 from rivercross import McParams, mc_graph
-from rivercross.digraph import Digraph, all_shortest_paths, random_digraph, shortest_distance
-from rivercross.walkcount import (
+from rivercross.digraph import Digraph, all_shortest_paths, shortest_distance
+from rivercross.walkcount import count_shortest_walks
+
+from reference import (
     adjacency_matrix,
-    count_shortest_walks,
     mat_mul,
+    random_digraph,
     symbolic_adjacency,
     symbolic_shortest_paths,
 )
