@@ -102,16 +102,14 @@ def fit_linear_recurrence(
         coeffs = _solve_exact(rows, order)
         if coeffs is None or coeffs[-1] == 0:
             continue
-        if all(
-            tail[n] == sum(c * tail[n - j] for j, c in enumerate(coeffs, start=1))
-            for n in range(order, hi)
-        ):
-            return LinearRecurrence(
-                order=order,
-                coefficients=tuple(coeffs),
-                offset=offset,
-                initial=tuple(int(v) for v in tail[:order]),
-            )
+        rec = LinearRecurrence(
+            order=order,
+            coefficients=tuple(coeffs),
+            offset=offset,
+            initial=tuple(int(v) for v in tail[:order]),
+        )
+        if all(rec.holds_at(tail, n) for n in range(order, hi)):
+            return rec
     return None
 
 

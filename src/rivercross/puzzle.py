@@ -108,6 +108,11 @@ class SpeciesPuzzle:
         """`species_loads` of this puzzle, computed once."""
         return species_loads(self)
 
+    @cached_property
+    def _successors(self) -> dict[tuple[tuple[int, ...], bool], tuple[tuple[int, ...], ...]]:
+        """(monomial, forward) -> its legal successors; `transfer.transfer_step` fills it."""
+        return {}
+
 
 SpeciesState = tuple[tuple[int, ...], int]  # (populations on start bank, boat flag)
 

@@ -2,12 +2,15 @@
 
 Populations on the starting bank are tracked as monomial exponents.  One
 forward crossing divides by a legal boat load (subtracts its exponent vector),
-one return crossing multiplies; after every crossing a clean-up pass discards
-monomials encoding unsafe banks.  The iteration alternates forward and back
-from the full initial population; the first stage whose forward polynomial
-gains a constant term proves the puzzle solvable, and that constant term is
-the exact number of shortest solutions.  If no constant term appears within
-one stage more than the number of legal states, no solution exists.
+one return crossing multiplies, and monomials encoding unsafe banks die.  Each
+puzzle compiles these crossings lazily into a successor table: the first time
+a monomial crosses in a direction, its shifts are cleaned up once and the
+survivors stored, so every stage is a sparse vector-times-matrix product over
+the table (the transfer-matrix method).  The iteration alternates forward and
+back from the full initial population; the first stage whose forward
+polynomial gains a constant term proves the puzzle solvable, and that constant
+term is the exact number of shortest solutions.  If no constant term appears
+within one stage more than the number of legal states, no solution exists.
 """
 
 from __future__ import annotations
@@ -59,17 +62,24 @@ def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynom
 
 
 def transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
-    """One crossing: shift every monomial by every load, then clean up.
+    """One crossing: add each monomial's coefficient to each of its legal successors.
 
     Forward crossings subtract load vectors (people leave the start bank) and
-    clean with the boat on the far side; return crossings add and clean with
-    the boat back at the start.
+    keep monomials safe with the boat on the far side; return crossings add and
+    keep those safe with the boat back at the start.  A monomial's successors
+    are `cleanup` of its shifts, computed the first time it crosses that way
+    and then read from the puzzle's successor table; sums of zero are dropped.
     """
+    table = sp._successors
     acc: Polynomial = {}
     for mono, coeff in poly.items():
-        for shifted in _shifted(sp, mono, forward):
-            acc[shifted] = acc.get(shifted, 0) + coeff
-    return cleanup(acc, sp, boat_on_start=not forward)
+        row = table.get((mono, forward))
+        if row is None:
+            shifted = dict.fromkeys(_shifted(sp, mono, forward), 1)
+            row = table[mono, forward] = tuple(cleanup(shifted, sp, boat_on_start=not forward))
+        for succ in row:
+            acc[succ] = acc.get(succ, 0) + coeff
+    return {mono: coeff for mono, coeff in acc.items() if coeff}
 
 
 def legal_state_bound(sp: SpeciesPuzzle) -> int:

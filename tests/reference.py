@@ -2,12 +2,15 @@
 
 Dense adjacency-matrix powers and their symbolic counterpart, which labels
 every edge so each monomial of a matrix entry reconstructs one concrete path,
-plus a seeded random digraph generator.
+plus a seeded random digraph generator, and the transfer stage computed
+directly, without the successor table.
 """
 
 import random
 
 from rivercross.digraph import Digraph, PathList
+from rivercross.puzzle import SpeciesPuzzle, _shifted
+from rivercross.transfer import Polynomial, cleanup
 from rivercross.walkcount import count_shortest_walks
 
 # A symbolic matrix entry: formal sum of edge-label products, stored as a map
@@ -119,3 +122,16 @@ def _chain(mono: Monomial, source: int, target: int, length: int) -> tuple[int, 
     if at != target or successor:
         raise RuntimeError(f"monomial {mono} does not terminate at {target}")
     return tuple(path)
+
+
+def reference_transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
+    """One crossing: shift every monomial by every load, then clean up the sum.
+
+    Forward crossings subtract load vectors and clean with the boat on the far
+    side; return crossings add and clean with the boat back at the start.
+    """
+    acc: Polynomial = {}
+    for mono, coeff in poly.items():
+        for shifted in _shifted(sp, mono, forward):
+            acc[shifted] = acc.get(shifted, 0) + coeff
+    return cleanup(acc, sp, boat_on_start=not forward)

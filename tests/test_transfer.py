@@ -1,7 +1,17 @@
 import itertools
 import random
+from collections import Counter
 
-from rivercross import McParams, mc_graph, mc_species, solve_mc, transfer, wolf_goat_cabbage
+from rivercross import (
+    McParams,
+    SpeciesPuzzle,
+    mc_graph,
+    mc_species,
+    solve_mc,
+    transfer,
+    wolf_goat_cabbage,
+)
+from rivercross.puzzle import species_states
 from rivercross.transfer import (
     cleanup,
     crossing_polynomial,
@@ -14,10 +24,40 @@ from rivercross.transfer import (
 from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_F, CLASSIC_G
+from reference import reference_transfer_step
 
 
 def classic_species():
     return mc_species(CLASSIC)
+
+
+def boat_side_species():
+    """Cannibals may outnumber missionaries only on the bank where the boat is."""
+    return SpeciesPuzzle(
+        names=("missionaries", "cannibals"),
+        amounts=(3, 2),
+        boat_capacity=2,
+        bank_rule=lambda v, boat: boat or not (0 < v[0] < v[1]),
+        boat_rule=lambda load: True,
+        allow_empty_boat=True,
+    )
+
+
+def oracle_puzzles():
+    """The MC grid M,C <= 6, B 2..4, d 0..2, wolf-goat-cabbage, and a boat-side bank rule."""
+    for m, c, b, d in itertools.product(range(1, 7), range(1, 7), range(2, 5), range(0, 3)):
+        if m - c >= d:
+            yield mc_species(McParams(m, c, b, d))
+    yield wolf_goat_cabbage()
+    yield boat_side_species()
+
+
+def random_polynomial(rng, amounts):
+    """Monomials from one beyond each side of the box, coefficients -3..3 (zero included)."""
+    return {
+        tuple(rng.randrange(-1, a + 2) for a in amounts): rng.randrange(-3, 4)
+        for _ in range(rng.randrange(1, 12))
+    }
 
 
 class TestCrossingPolynomial:
@@ -95,6 +135,57 @@ class TestTransferStep:
     def test_second_forward_step(self):
         sp = classic_species()
         assert transfer_step(CLASSIC_F[1], sp, forward=True) == CLASSIC_G[2]
+
+
+class TestSuccessorTable:
+    def test_matches_reference_on_random_polynomials(self):
+        rng = random.Random(17)
+        for sp in oracle_puzzles():
+            for _ in range(6):
+                poly = random_polynomial(rng, sp.amounts)
+                for forward in (True, False):
+                    assert transfer_step(poly, sp, forward) == reference_transfer_step(
+                        poly, sp, forward), (sp.amounts, poly, forward)
+
+    def test_cancelling_coefficients_dropped(self):
+        sp = classic_species()
+        # (3,2) - (1,0) and (2,3) - (0,1) both land on (2,2), with 1 - 1 = 0.
+        poly = {(3, 2): 1, (2, 3): -1}
+        step = transfer_step(poly, sp, forward=True)
+        assert (2, 2) not in step
+        assert step == reference_transfer_step(poly, sp, forward=True)
+        assert step == {(3, 1): 1, (3, 0): 1, (0, 3): -1}
+
+    def test_stages_match_reference_through_iterations_run(self):
+        for sp in oracle_puzzles():
+            runs = solve_by_transfer(sp).iterations_run
+            stages = transfer._stages(sp)
+            poly, forward = {sp.amounts: 1}, True
+            for n in range(2 * runs):
+                poly = reference_transfer_step(poly, sp, forward)
+                assert next(stages) == poly, (sp.amounts, n)
+                forward = not forward
+
+    def test_each_crossing_shifted_once(self, monkeypatch):
+        real_shifted, real_step = transfer._shifted, transfer.transfer_step
+        shifts, steps = Counter(), []
+
+        def counted_shifted(sp, vec, forward):
+            shifts[vec, forward] += 1
+            return real_shifted(sp, vec, forward)
+
+        def counted_step(poly, sp, forward):
+            steps.append(forward)
+            return real_step(poly, sp, forward)
+
+        monkeypatch.setattr(transfer, "_shifted", counted_shifted)
+        monkeypatch.setattr(transfer, "transfer_step", counted_step)
+        sp = mc_species(McParams(30, 30, 3, 0))
+        out = solve_by_transfer(sp)
+        assert not out.solvable and out.iterations_run == 92
+        assert len(steps) == 184
+        assert set(shifts.values()) == {1}
+        assert sum(shifts.values()) <= len(species_states(sp))
 
 
 class TestSolveByTransfer:
