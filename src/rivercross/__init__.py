@@ -9,9 +9,12 @@ constructive strategies with sufficiency conditions.
 
 from .digraph import (
     Digraph,
+    PathCount,
     PathList,
     all_shortest_paths,
+    count_shortest_paths,
     shortest_distance,
+    unrank_shortest_path,
 )
 from .families import (
     ConjectureReport,

@@ -13,9 +13,12 @@ import sys
 import time
 
 from . import __version__
-from .families import FamilySpec, conjecture_report, family_counts, format_terms
+from .digraph import PathCount, count_shortest_paths, unrank_shortest_path
+from .families import FamilySpec, conjecture_report, family_counts, family_params, format_terms
 from .puzzle import (
+    BankState,
     McParams,
+    StatePath,
     mc_graph,
     mc_species,
     solve_mc,
@@ -32,6 +35,12 @@ EXIT_USAGE = 1
 EXIT_UNSOLVABLE = 2
 
 _INT64_MAX = 2**63 - 1
+
+# Largest state box (M+1)(C+1) an instance command accepts; family commands
+# check their largest member.  The largest instance the tests and the
+# benchmark use is (86, 86), a box of 7,569; at this limit a square instance
+# such as (315, 315, 8, 0) is counted in about a second.
+MAX_STATE_BOX = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,7 +139,14 @@ def _build_parser() -> _Parser:
 def _params(args) -> McParams:
     p = McParams(args.missionaries, args.cannibals, args.boat, args.margin)
     validate_params(p)
+    _check_box(p)
     return p
+
+
+def _check_box(p: McParams) -> None:
+    box = (p.missionaries + 1) * (p.cannibals + 1)
+    if box > MAX_STATE_BOX:
+        raise ValueError(f"state box (M+1)(C+1) = {box} is above the limit {MAX_STATE_BOX}")
 
 
 def _params_line(p: McParams) -> str:
@@ -143,24 +159,40 @@ def _json_count(count: int):
     return count if abs(count) <= _INT64_MAX else str(count)
 
 
+def _counted(p: McParams) -> tuple[PathCount | None, tuple[BankState, ...]]:
+    """Shortest solutions counted on the distance DAG, and the states naming its vertices."""
+    graph, states = mc_graph(p)
+    return count_shortest_paths(graph, 1, graph.n), states
+
+
+def _solution(counted: PathCount, states: tuple[BankState, ...], k: int) -> StatePath:
+    """The k-th shortest solution in `solve_mc`'s order, unranked without listing the others."""
+    return tuple(states[v - 1] for v in unrank_shortest_path(counted, k))
+
+
 def _cmd_solve(args) -> tuple[dict, int]:
     p = _params(args)
-    result = solve_mc(p)
+    if args.all:
+        result = solve_mc(p)
+        found = None if result is None else (result[0], len(result[1]), result[1])
+    else:
+        counted, states = _counted(p)
+        found = None if counted is None else (
+            counted.length, counted.count, (_solution(counted, states, 0),))
     payload: dict = {"command": "solve", "params": p._asdict()}
-    if result is None:
+    if found is None:
         payload.update({"solvable": False, "crossings": None, "count": None, "solutions": []})
         payload["text"] = (f"{_params_line(p)}\n"
                            "UNSOLVABLE: the goal is unreachable from the initial state")
         return payload, EXIT_UNSOLVABLE
-    crossings, solutions = result
-    shown = solutions if args.all else solutions[:1]
+    crossings, count, shown = found
     payload.update({
         "solvable": True,
         "crossings": crossings,
-        "count": _json_count(len(solutions)),
+        "count": _json_count(count),
         "solutions": [[list(s) for s in sol] for sol in shown],
     })
-    lines = [_params_line(p), f"crossings: {crossings}", f"solutions: {len(solutions)}"]
+    lines = [_params_line(p), f"crossings: {crossings}", f"solutions: {count}"]
     for k, sol in enumerate(shown, start=1):
         lines.append(f"solution {k}: " + " ".join(f"[{s[0]},{s[1]},{s[2]}]" for s in sol))
     payload["text"] = "\n".join(lines)
@@ -169,19 +201,18 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 def _cmd_spell(args) -> tuple[dict, int]:
     p = _params(args)
-    result = solve_mc(p)
+    counted, states = _counted(p)
     payload: dict = {"command": "spell", "params": p._asdict(), "index": args.index}
-    if result is None:
+    if counted is None:
         payload.update({"solvable": False, "transcript": []})
         payload["text"] = f"{_params_line(p)}\nUNSOLVABLE: nothing to spell out"
         return payload, EXIT_UNSOLVABLE
-    crossings, solutions = result
-    if not 0 <= args.index < len(solutions):
-        raise ValueError(f"index {args.index} out of range: {len(solutions)} solutions exist")
-    transcript = spell_out(p, solutions[args.index])
+    if not 0 <= args.index < counted.count:
+        raise ValueError(f"index {args.index} out of range: {counted.count} solutions exist")
+    transcript = spell_out(p, _solution(counted, states, args.index))
     payload.update({
         "solvable": True,
-        "crossings": crossings,
+        "crossings": counted.length,
         "transcript": transcript.split("\n"),
     })
     payload["text"] = transcript
@@ -191,8 +222,8 @@ def _cmd_spell(args) -> tuple[dict, int]:
 def _count_by_method(p: McParams, method: str):
     """(crossings, count) by the chosen backend, or None when unsolvable."""
     if method == "graph":
-        result = solve_mc(p)
-        return None if result is None else (result[0], len(result[1]))
+        counted, _ = _counted(p)
+        return None if counted is None else (counted.length, counted.count)
     if method == "matrix":
         graph, _ = mc_graph(p)
         return count_shortest_walks(graph, 1, graph.n)
@@ -263,6 +294,7 @@ def _family(args) -> FamilySpec:
     fs = FamilySpec(args.surplus, args.boat, args.margin, args.terms)
     if fs.num_terms < 1:
         raise ValueError("need at least one term")
+    _check_box(family_params(fs, fs.num_terms))
     return fs
 
 

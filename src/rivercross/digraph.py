@@ -52,6 +52,29 @@ class PathList(NamedTuple):
     paths: tuple[tuple[int, ...], ...]
 
 
+class PathCount(NamedTuple):
+    """The shortest source-to-target paths of a digraph, counted but not listed.
+
+    `dist[v]` is the distance from v to the target and `ways[v]` the number of
+    shortest v-to-target paths (entry 0 of both is unused padding), so `count`
+    is `ways[source]`.  `unrank_shortest_path` reads the k-th path off them.
+    """
+
+    graph: Digraph
+    source: int
+    target: int
+    dist: list[int | None]
+    ways: list[int]
+
+    @property
+    def length(self) -> int:
+        return self.dist[self.source]  # type: ignore[return-value]
+
+    @property
+    def count(self) -> int:
+        return self.ways[self.source]
+
+
 def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
     """Minimal edge count of a walk from source to target, or None if unreachable."""
     _check_vertex(g, source)
@@ -74,35 +97,87 @@ def distances_to(g: Digraph, target: int) -> list[int | None]:
     return dist
 
 
+def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
+    """Count the shortest source-to-target paths without listing them, or None if unreachable.
+
+    Vertices are taken in order of increasing distance to the target, and
+    `ways[v]` is the sum of `ways[w]` over the out-neighbors w one step closer:
+    one big-integer addition per edge of the same distance-filtered DAG that
+    `all_shortest_paths` walks, and no recursion.
+    """
+    _check_vertex(g, source)
+    dist = distances_to(g, target)
+    length = dist[source]
+    if length is None:
+        return None
+    ways = [0] * (g.n + 1)
+    ways[target] = 1
+    nearer = [v for v, d in enumerate(dist) if d is not None and 0 < d <= length]
+    for v in sorted(nearer, key=dist.__getitem__):
+        ways[v] = sum(ways[w] for w in _closer(g, dist, v))
+    return PathCount(g, source, target, dist, ways)
+
+
+def unrank_shortest_path(counted: PathCount, k: int) -> tuple[int, ...]:
+    """The k-th shortest path, counting from 0, in the order `all_shortest_paths` lists them.
+
+    From the source, walk the sorted out-neighbors one step closer to the
+    target and subtract their `ways` until k falls inside one of them
+    (Kreher and Stinson, Combinatorial Algorithms, 1999, ch. 2-3).
+    Raises IndexError unless 0 <= k < counted.count.
+    """
+    if not 0 <= k < counted.count:
+        raise IndexError(f"rank {k} outside 0..{counted.count - 1}")
+    g, source, target, dist, ways = counted
+    v = source
+    path = [v]
+    while v != target:
+        for w in _closer(g, dist, v):
+            if k < ways[w]:
+                break
+            k -= ways[w]
+        path.append(w)
+        v = w
+    return tuple(path)
+
+
 def all_shortest_paths(g: Digraph, source: int, target: int) -> PathList | None:
     """Enumerate every simple path of minimal length from source to target.
 
     Distance labels toward the target are computed first; the search then only
     follows edges that step exactly one unit closer, so no dead end is ever
-    explored and the work is linear in the size of the output.  Paths come out
-    sorted lexicographically by vertex sequence.
+    explored and the work is linear in the size of the output.  The walk keeps
+    an explicit stack, so path length is not bounded by the recursion limit.
+    Paths come out sorted lexicographically by vertex sequence.
     """
     _check_vertex(g, source)
     dist = distances_to(g, target)
-    if dist[source] is None:
-        return None
     length = dist[source]
+    if length is None:
+        return None
+    if source == target:
+        return PathList(0, ((source,),))
+    steps = {v: _closer(g, dist, v) for v, d in enumerate(dist) if d is not None and d <= length}
     paths: list[tuple[int, ...]] = []
     path = [source]
-
-    def descend(u: int) -> None:
-        if u == target:
-            paths.append(tuple(path))
-            return
-        here = dist[u]
-        for v in g.out(u):
-            if dist[v] is not None and dist[v] == here - 1:  # type: ignore[operator]
-                path.append(v)
-                descend(v)
-                path.pop()
-
-    descend(source)
+    branches = [iter(steps[source])]  # branches[i]: untried steps from path[i]
+    while branches:
+        v = next(branches[-1], None)
+        if v is None:
+            branches.pop()
+            path.pop()
+        elif v == target:
+            paths.append((*path, v))
+        else:
+            path.append(v)
+            branches.append(iter(steps[v]))
     return PathList(length, tuple(paths))
+
+
+def _closer(g: Digraph, dist: list[int | None], v: int) -> list[int]:
+    """Out-neighbors of v one step closer to the target, in sorted order."""
+    step = dist[v] - 1  # type: ignore[operator]
+    return [w for w in g.out(v) if dist[w] == step]
 
 
 def _check_vertex(g: Digraph, v: int) -> None:

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rivercross import transfer
-from rivercross.cli import main
+from rivercross import McParams, mc_species, solve_by_transfer, transfer
+from rivercross.cli import MAX_STATE_BOX, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -17,6 +21,10 @@ def run(capsys, *argv):
 
 def golden(name):
     return (GOLDEN / name).read_text()
+
+
+# The number of shortest solutions of (300, 1, 2, 0), 126 digits.
+LOPSIDED_COUNT = solve_by_transfer(mc_species(McParams(300, 1, 2, 0))).count
 
 
 class TestExitCodes:
@@ -52,6 +60,15 @@ class TestExitCodes:
         status, _, err = run(capsys, "spell", "3", "3", "2", "0", "--index", "4")
         assert status == 1
         assert "out of range" in err
+
+    @pytest.mark.parametrize("argv, index, count", [
+        (("3", "3", "2", "0"), "-1", 4),
+        (("300", "1", "2", "0"), str(LOPSIDED_COUNT), LOPSIDED_COUNT),
+    ])
+    def test_spell_index_out_of_range_message(self, capsys, argv, index, count):
+        status, out, err = run(capsys, "spell", *argv, "--index", index)
+        assert (status, out) == (1, "")
+        assert err == f"error: index {index} out of range: {count} solutions exist\n"
 
     def test_spell_unsolvable_is_two(self, capsys):
         status, out, _ = run(capsys, "spell", "4", "4", "2", "0")
@@ -189,3 +206,54 @@ class TestMethodAgreement:
         _, out1, _ = run(capsys, "solve", "5", "5", "3", "0", "--all")
         _, out2, _ = run(capsys, "solve", "5", "5", "3", "0", "--all")
         assert out1 == out2
+
+
+def _cap_address_space():
+    import resource
+
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def run_capped(*argv):
+    """Run the CLI in a child process whose address space is capped at 1 GiB."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "rivercross.cli", *argv, "--format", "json", "--deterministic"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_address_space)
+
+
+class TestBoundedBySize:
+    """Memory and time follow the state graph, not the number of solutions."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "30", "1", "2", "0"),
+        ("count", "300", "1", "2", "0", "--method", "graph"),
+        ("spell", "300", "1", "2", "0", "--index", str(LOPSIDED_COUNT - 1)),
+    ])
+    def test_huge_counts_under_a_memory_cap(self, argv):
+        proc = run_capped(*argv)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        outcome = solve_by_transfer(mc_species(McParams(*map(int, argv[1:5]))))
+        assert doc["crossings"] == outcome.crossings
+        if "count" in doc:
+            assert int(doc["count"]) == outcome.count
+        if argv[0] == "solve":
+            assert len(doc["solutions"]) == 1
+        if argv[0] == "spell":
+            assert doc["transcript"][-1].endswith(f"after {outcome.crossings} crossings.")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "100000", "100000", "2", "0"),
+        ("solve", "50000", "1", "2", "0"),
+        ("sequence", "0", "2", "0", "400"),
+        ("conjecture", "9", "2", "0", "400"),
+    ])
+    def test_oversized_input_refused(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: state box (M+1)(C+1) = ")
+        assert f"above the limit {MAX_STATE_BOX}" in err

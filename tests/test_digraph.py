@@ -1,6 +1,15 @@
 import pytest
 
-from rivercross.digraph import Digraph, PathList, all_shortest_paths, shortest_distance
+import sys
+
+from rivercross.digraph import (
+    Digraph,
+    PathList,
+    all_shortest_paths,
+    count_shortest_paths,
+    shortest_distance,
+    unrank_shortest_path,
+)
 
 from reference import random_digraph
 
@@ -125,13 +134,78 @@ def test_enumeration_matches_brute_force_on_small_graphs():
 
 
 def test_enumeration_on_every_three_vertex_graph():
-    pairs = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
-    for bits in range(2 ** len(pairs)):
-        edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
-        g = g_from_edges(3, edges)
+    for g in every_three_vertex_graph():
         expected = brute_force_shortest_paths(g, 1, 3)
         found = all_shortest_paths(g, 1, 3)
         if expected is None:
             assert found is None
         else:
             assert list(found.paths) == expected
+
+
+def every_three_vertex_graph():
+    pairs = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
+    for bits in range(2 ** len(pairs)):
+        yield g_from_edges(3, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+def diamond_chain(k):
+    """k diamonds in a row: 2**k shortest paths of length 2k through 3k + 1 vertices.
+
+    Diamond i joins vertex 3i + 1 to 3i + 4 through 3i + 2 (upper) or 3i + 3 (lower).
+    """
+    edges = []
+    for i in range(k):
+        a = 3 * i + 1
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    return g_from_edges(3 * k + 1, edges)
+
+
+class TestCountAndUnrank:
+    def test_unranking_lists_the_enumeration(self):
+        graphs = [random_digraph(8, 0.3, seed=seed) for seed in range(12)]
+        graphs += [random_digraph(15, 0.3, seed=3), *every_three_vertex_graph()]
+        for g in graphs:
+            found = all_shortest_paths(g, 1, g.n)
+            counted = count_shortest_paths(g, 1, g.n)
+            if found is None:
+                assert counted is None
+                continue
+            assert (counted.length, counted.count) == (found.length, len(found.paths))
+            ranked = [unrank_shortest_path(counted, k) for k in range(counted.count)]
+            assert ranked == list(found.paths)
+
+    def test_source_is_target(self):
+        g = g_from_edges(3, [(1, 2), (2, 1)])
+        counted = count_shortest_paths(g, 2, 2)
+        assert (counted.length, counted.count) == (0, 1)
+        assert unrank_shortest_path(counted, 0) == (2,)
+        assert all_shortest_paths(g, 2, 2) == PathList(0, ((2,),))
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_rank_out_of_range(self, k):
+        counted = count_shortest_paths(g_from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)]), 1, 4)
+        with pytest.raises(IndexError):
+            unrank_shortest_path(counted, k)
+
+    def test_diamond_chain_ranks_read_as_binary(self):
+        # Rank k takes the lower route through diamond i exactly when bit
+        # k - 1 - i of k is set, the first diamond being the most significant.
+        k = 500
+        g = diamond_chain(k)
+        counted = count_shortest_paths(g, 1, g.n)
+        assert (counted.length, counted.count) == (2 * k, 2 ** k)
+        for rank in (0, 1, 2 ** k // 3, 2 ** k - 1):
+            middles = unrank_shortest_path(counted, rank)[1::2]
+            assert middles == tuple(3 * i + 2 + (rank >> (k - 1 - i) & 1) for i in range(k))
+
+
+def test_long_chain_within_the_recursion_limit():
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    g = Digraph.build([[v + 1] if v < n else [] for v in range(1, n + 1)])
+    chain = tuple(range(1, n + 1))
+    assert all_shortest_paths(g, 1, n) == PathList(n - 1, (chain,))
+    counted = count_shortest_paths(g, 1, n)
+    assert (counted.length, counted.count) == (n - 1, 1)
+    assert unrank_shortest_path(counted, 0) == chain

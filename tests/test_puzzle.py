@@ -19,8 +19,10 @@ from rivercross import (
     validate_params,
     wolf_goat_cabbage,
 )
+from rivercross.digraph import count_shortest_paths, unrank_shortest_path
 from rivercross.puzzle import species_loads, species_state_ok
 from rivercross.transfer import solve_by_transfer
+from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_SOLUTIONS
 
@@ -258,19 +260,35 @@ class TestSolveMc:
                 moves = path_to_moves(sol)
                 assert [mv.forward for mv in moves] == [i % 2 == 0 for i in range(len(moves))]
 
-    def test_solutions_come_out_sorted(self):
+    def test_enumeration_sorted_and_matched_by_dag(self):
         # all_shortest_paths yields paths in vertex order and vertices are
         # numbered in state order, so the solver needs no sort; the order of
-        # CLASSIC_SOLUTIONS and of the goldens rests on this.
+        # CLASSIC_SOLUTIONS and of the goldens rests on this.  The count on the
+        # distance DAG equals the enumeration's length, the walk count and the
+        # transfer count, and unranking returns the enumerated solution at every
+        # index of a small set, and at both ends and the middle of a large one.
+        wgc = wolf_goat_cabbage()
+        cases = itertools.chain(
+            ((mc_graph(p), solve_mc(p), mc_species(p)) for p in grid_instances(8, 8, 5, 2)),
+            [(species_graph(wgc), solve_species(wgc), wgc)])
         solvable = 0
-        for p in grid_instances(8, 8, 5, 2):
-            result = solve_mc(p)
-            if result is not None:
-                solvable += 1
-                assert list(result[1]) == sorted(result[1]), p
-        assert solvable == 227
-        _, solutions = solve_species(wolf_goat_cabbage())
-        assert list(solutions) == sorted(solutions)
+        for (graph, states), enumerated, sp in cases:
+            counted = count_shortest_paths(graph, 1, graph.n)
+            walks = count_shortest_walks(graph, 1, graph.n)
+            outcome = solve_by_transfer(sp)
+            if counted is None:
+                assert enumerated is None and walks is None and not outcome.solvable
+                continue
+            solvable += 1
+            crossings, solutions = enumerated
+            assert list(solutions) == sorted(solutions), sp.amounts
+            assert ((counted.length, counted.count) == (crossings, len(solutions)) == walks
+                    == (outcome.crossings, outcome.count)), sp.amounts
+            n = counted.count
+            for k in range(n) if n <= 500 else (0, n // 2, n - 1):
+                path = unrank_shortest_path(counted, k)
+                assert tuple(states[v - 1] for v in path) == solutions[k], (sp.amounts, k)
+        assert solvable == 227 + 1  # the grid, then wolf-goat-cabbage
 
     def test_solution_set_closed_under_involution(self):
         for p in (CLASSIC, McParams(5, 5, 3, 0), McParams(6, 1, 3, 1)):
