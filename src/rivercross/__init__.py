@@ -51,7 +51,6 @@ from .transfer import (
     TransferOutcome,
     TransferTrace,
     cleanup,
-    crossing_polynomial,
     format_polynomial,
     legal_state_bound,
     solve_by_transfer,

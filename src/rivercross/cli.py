@@ -52,24 +52,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
+    # Counts can outgrow the 4,300 digits Python converts to decimal by default.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        payload, status = args.handler(args)
-    except ValueError as exc:  # ParamError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        payload.pop("text", None)
-        meta = {"tool": "rivercross", "version": __version__}
-        if not args.deterministic:
-            meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-        payload["meta"] = meta
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(payload["text"])
-    return status
+        args = _build_parser().parse_args(argv)
+        started = time.perf_counter()
+        try:
+            payload, status = args.handler(args)
+        except ValueError as exc:  # ParamError included
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.format == "json":
+            payload.pop("text", None)
+            meta = {"tool": "rivercross", "version": __version__}
+            if not args.deterministic:
+                meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+            payload["meta"] = meta
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print(payload["text"])
+        return status
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def _build_parser() -> _Parser:

@@ -109,9 +109,11 @@ class SpeciesPuzzle:
         return species_loads(self)
 
     @cached_property
-    def _successors(self) -> dict[tuple[tuple[int, ...], bool], tuple[tuple[int, ...], ...]]:
-        """(monomial, forward) -> its legal successors; `transfer.transfer_step` fills it."""
-        return {}
+    def _successors(self) -> dict[SpeciesState, tuple[tuple[int, ...], ...]]:
+        """Each legal state -> the start-bank populations of its successors in `species_graph`."""
+        graph, states = species_graph(self)
+        return {state: tuple(states[j - 1][0] for j in graph.out(i))
+                for i, state in enumerate(states, start=1)}
 
 
 SpeciesState = tuple[tuple[int, ...], int]  # (populations on start bank, boat flag)

@@ -2,15 +2,15 @@
 
 Populations on the starting bank are tracked as monomial exponents.  One
 forward crossing divides by a legal boat load (subtracts its exponent vector),
-one return crossing multiplies, and monomials encoding unsafe banks die.  Each
-puzzle compiles these crossings lazily into a successor table: the first time
-a monomial crosses in a direction, its shifts are cleaned up once and the
-survivors stored, so every stage is a sparse vector-times-matrix product over
-the table (the transfer-matrix method).  The iteration alternates forward and
-back from the full initial population; the first stage whose forward
-polynomial gains a constant term proves the puzzle solvable, and that constant
-term is the exact number of shortest solutions.  If no constant term appears
-within one stage more than the number of legal states, no solution exists.
+one return crossing multiplies, and monomials encoding unsafe banks die.  A
+monomial with the boat on one side is a state of the puzzle's state graph, and
+what survives one crossing is that state's successors there, so every stage is
+a sparse vector-times-matrix product over the graph's rows, tabulated once per
+puzzle (the transfer-matrix method).  The iteration alternates forward and back
+from the full initial population; the first stage whose forward polynomial
+gains a constant term proves the puzzle solvable, and that constant term is the
+exact number of shortest solutions.  If no constant term appears within one
+stage more than the number of legal states, no solution exists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import tee
 from typing import Iterator
 
-from .puzzle import SpeciesPuzzle, _shifted, species_state_ok, species_states
+from .puzzle import SpeciesPuzzle, species_state_ok
 
 Exponents = tuple[int, ...]
 Polynomial = dict[Exponents, int]
@@ -43,11 +43,6 @@ class TransferTrace:
     steps: tuple[tuple[Polynomial, Polynomial], ...]
 
 
-def crossing_polynomial(sp: SpeciesPuzzle) -> Polynomial:
-    """One monomial per legal boat load, each with coefficient 1."""
-    return {load: 1 for load in sp.loads}
-
-
 def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynomial:
     """Keep only monomials that encode a safe pair of banks (out-of-range ones die too)."""
     out: Polynomial = {}
@@ -64,19 +59,19 @@ def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynom
 def transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
     """One crossing: add each monomial's coefficient to each of its legal successors.
 
-    Forward crossings subtract load vectors (people leave the start bank) and
-    keep monomials safe with the boat on the far side; return crossings add and
-    keep those safe with the boat back at the start.  A monomial's successors
-    are `cleanup` of its shifts, computed the first time it crosses that way
-    and then read from the puzzle's successor table; sums of zero are dropped.
+    A forward crossing leaves from the state whose start bank holds the
+    monomial's populations and the boat; a return crossing leaves with the
+    boat on the far bank.  The successors are that state's out-neighbours in
+    `species_graph`, read from the puzzle's successor table; sums of zero are
+    dropped.  Raises ValueError for a monomial that is no legal state there.
     """
-    table = sp._successors
+    table, boat = sp._successors, 1 if forward else 0
     acc: Polynomial = {}
     for mono, coeff in poly.items():
-        row = table.get((mono, forward))
+        row = table.get((mono, boat))
         if row is None:
-            shifted = dict.fromkeys(_shifted(sp, mono, forward), 1)
-            row = table[mono, forward] = tuple(cleanup(shifted, sp, boat_on_start=not forward))
+            side = "start" if forward else "far"
+            raise ValueError(f"monomial {mono} is no legal state with the boat on the {side} bank")
         for succ in row:
             acc[succ] = acc.get(succ, 0) + coeff
     return {mono: coeff for mono, coeff in acc.items() if coeff}
@@ -88,11 +83,9 @@ def legal_state_bound(sp: SpeciesPuzzle) -> int:
     For puzzles whose bank rule ignores the boat this is the number of legal
     population vectors; otherwise each (vector, boat side) pair counts.
     """
-    states = species_states(sp)
-    with_boat = {vec for vec, flag in states if flag}
-    if with_boat == {vec for vec, flag in states if not flag}:
-        return len(with_boat)
-    return len(states)
+    states = sp._successors
+    vectors = {vec for vec, _ in states}
+    return len(vectors) if len(states) == 2 * len(vectors) else len(states)
 
 
 def _stages(sp: SpeciesPuzzle) -> Iterator[Polynomial]:

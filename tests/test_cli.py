@@ -186,6 +186,38 @@ class TestJson:
         assert int(terms[-1]) > 2**63
 
 
+class TestLongCounts:
+    """Counts print at any length, and the interpreter's digit limit is left as found."""
+
+    LIMIT = 1000  # below the count's length, so only a lifted limit lets it print
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.LIMIT)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_count_of_4305_digits_in_text_and_json(self, capsys):
+        argv = ("count", "10300", "1", "2", "0", "--method", "graph")
+        status, text, _ = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == self.LIMIT
+        json_status, out, _ = run(capsys, *argv, "--format", "json", "--deterministic")
+        assert sys.get_int_max_str_digits() == self.LIMIT
+        count = json.loads(out)["count"]
+        assert (status, json_status) == (0, 0)
+        assert len(count) == 4305 and count.isdigit()
+        assert text.endswith(f"\ncount: {count}\n")
+
+    def test_limit_restored_after_errors(self, capsys):
+        status, _, err = run(capsys, "count", "0", "1", "2", "0")
+        assert status == 1 and err.startswith("error: ")
+        assert sys.get_int_max_str_digits() == self.LIMIT
+        with pytest.raises(SystemExit):
+            main(["count", "3"])
+        assert sys.get_int_max_str_digits() == self.LIMIT
+
+
 class TestMethodAgreement:
     def test_all_methods_agree_on_sample(self, capsys):
         grid = [

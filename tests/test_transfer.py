@@ -1,20 +1,23 @@
 import itertools
 import random
+import re
 from collections import Counter
+
+import pytest
 
 from rivercross import (
     McParams,
     SpeciesPuzzle,
     mc_graph,
     mc_species,
+    puzzle,
     solve_mc,
     transfer,
     wolf_goat_cabbage,
 )
-from rivercross.puzzle import species_states
+from rivercross.puzzle import species_loads, species_states
 from rivercross.transfer import (
     cleanup,
-    crossing_polynomial,
     format_polynomial,
     legal_state_bound,
     solve_by_transfer,
@@ -52,36 +55,36 @@ def oracle_puzzles():
     yield boat_side_species()
 
 
-def random_polynomial(rng, amounts):
-    """Monomials from one beyond each side of the box, coefficients -3..3 (zero included)."""
-    return {
-        tuple(rng.randrange(-1, a + 2) for a in amounts): rng.randrange(-3, 4)
-        for _ in range(rng.randrange(1, 12))
-    }
+def random_monomial(rng, amounts):
+    """Exponents from one beyond each side of the box."""
+    return tuple(rng.randrange(-1, a + 2) for a in amounts)
+
+
+def random_legal_polynomial(rng, vectors):
+    """Monomials drawn from `vectors`, coefficients -3..3 (zero included)."""
+    return {rng.choice(vectors): rng.randrange(-3, 4) for _ in range(rng.randrange(1, 12))}
 
 
 class TestCrossingPolynomial:
+    """The crossing polynomial has one monomial per legal boat load."""
+
     def test_classic_five_terms(self):
-        assert crossing_polynomial(classic_species()) == {
-            (1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 1
-        }
+        assert set(species_loads(classic_species())) == {(1, 0), (2, 0), (0, 1), (0, 2), (1, 1)}
 
     def test_margin_two_drops_mixed_loads(self):
         sp = mc_species(McParams(6, 2, 2, 2))
-        assert crossing_polynomial(sp) == {(1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1}
+        assert set(species_loads(sp)) == {(1, 0), (2, 0), (0, 1), (0, 2)}
 
     def test_boat_three_terms(self):
         # All loads of size 1..3 except (1,2), where cannibals outnumber
         # missionaries inside the boat.
         sp = mc_species(McParams(3, 3, 3, 0))
-        poly = crossing_polynomial(sp)
-        assert poly == {
-            (0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 0): 1, (1, 1): 1,
-            (2, 0): 1, (2, 1): 1, (3, 0): 1,
+        assert set(species_loads(sp)) == {
+            (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
         }
 
     def test_empty_boat_term_when_allowed(self):
-        assert (0, 0, 0) in crossing_polynomial(wolf_goat_cabbage())
+        assert (0, 0, 0) in species_loads(wolf_goat_cabbage())
 
 
 class TestCleanup:
@@ -141,20 +144,46 @@ class TestSuccessorTable:
     def test_matches_reference_on_random_polynomials(self):
         rng = random.Random(17)
         for sp in oracle_puzzles():
-            for _ in range(6):
-                poly = random_polynomial(rng, sp.amounts)
-                for forward in (True, False):
+            states = species_states(sp)
+            for forward in (True, False):
+                vectors = [vec for vec, flag in states if flag == forward]
+                for _ in range(6):
+                    poly = random_legal_polynomial(rng, vectors)
                     assert transfer_step(poly, sp, forward) == reference_transfer_step(
                         poly, sp, forward), (sp.amounts, poly, forward)
 
+    def test_illegal_or_out_of_box_monomial_raises(self):
+        rng = random.Random(5)
+        for sp in oracle_puzzles():
+            legal = set(species_states(sp))
+            for _ in range(12):
+                mono = random_monomial(rng, sp.amounts)
+                for forward in (True, False):
+                    if (mono, int(forward)) in legal:
+                        transfer_step({mono: 1}, sp, forward)
+                    else:
+                        with pytest.raises(ValueError, match=re.escape(str(mono))):
+                            transfer_step({mono: 1}, sp, forward)
+
+    def test_named_illegal_monomials(self):
+        sp = classic_species()
+        for mono in ((4, 0), (-1, 2), (2, 3)):
+            with pytest.raises(ValueError):
+                transfer_step({(3, 3): 1, mono: 0}, sp, forward=True)
+        # With the boat gone, goat and cabbage are alone on the start bank.
+        wgc = wolf_goat_cabbage()
+        assert transfer_step({(0, 1, 1): 1}, wgc, forward=True)
+        with pytest.raises(ValueError, match="far bank"):
+            transfer_step({(0, 1, 1): 1}, wgc, forward=False)
+
     def test_cancelling_coefficients_dropped(self):
         sp = classic_species()
-        # (3,2) - (1,0) and (2,3) - (0,1) both land on (2,2), with 1 - 1 = 0.
-        poly = {(3, 2): 1, (2, 3): -1}
+        # Both monomials cross to (3,1) and (2,2), with 1 - 1 = 0 on each.
+        poly = {(3, 2): 1, (3, 3): -1}
         step = transfer_step(poly, sp, forward=True)
-        assert (2, 2) not in step
+        assert (3, 1) not in step and (2, 2) not in step
         assert step == reference_transfer_step(poly, sp, forward=True)
-        assert step == {(3, 1): 1, (3, 0): 1, (0, 3): -1}
+        assert step == {(3, 0): 1, (3, 2): -1}
 
     def test_stages_match_reference_through_iterations_run(self):
         for sp in oracle_puzzles():
@@ -166,26 +195,35 @@ class TestSuccessorTable:
                 assert next(stages) == poly, (sp.amounts, n)
                 forward = not forward
 
-    def test_each_crossing_shifted_once(self, monkeypatch):
-        real_shifted, real_step = transfer._shifted, transfer.transfer_step
-        shifts, steps = Counter(), []
+    def test_one_box_scan_per_solve(self, monkeypatch):
+        sp = mc_species(McParams(30, 30, 3, 0))
+        legal_states = len(species_states(sp))
+        real_shifted, real_ok, real_step = (
+            puzzle._shifted, puzzle.species_state_ok, transfer.transfer_step)
+        shifts, checks, steps = Counter(), [], []
 
         def counted_shifted(sp, vec, forward):
             shifts[vec, forward] += 1
             return real_shifted(sp, vec, forward)
 
+        def counted_ok(*args):
+            checks.append(args)
+            return real_ok(*args)
+
         def counted_step(poly, sp, forward):
             steps.append(forward)
             return real_step(poly, sp, forward)
 
-        monkeypatch.setattr(transfer, "_shifted", counted_shifted)
+        monkeypatch.setattr(puzzle, "_shifted", counted_shifted)
+        monkeypatch.setattr(puzzle, "species_state_ok", counted_ok)
+        monkeypatch.setattr(transfer, "species_state_ok", counted_ok)
         monkeypatch.setattr(transfer, "transfer_step", counted_step)
-        sp = mc_species(McParams(30, 30, 3, 0))
         out = solve_by_transfer(sp)
         assert not out.solvable and out.iterations_run == 92
         assert len(steps) == 184
-        assert set(shifts.values()) == {1}
-        assert sum(shifts.values()) <= len(species_states(sp))
+        assert set(shifts.values()) == {1} and len(shifts) == legal_states
+        # Every vector of the 31x31 box on both boat sides, plus the initial position.
+        assert len(checks) == 2 * 31 * 31 + 1
 
 
 class TestSolveByTransfer:
