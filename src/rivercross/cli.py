@@ -8,6 +8,7 @@ output carries a timing field unless --deterministic is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -56,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         started = time.perf_counter()
         try:
             payload, status = args.handler(args)
@@ -77,7 +78,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(digits)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    `parse_args` returns a fresh namespace, and argparse reads `sys.stdout`,
+    `sys.stderr` and `COLUMNS` only when it prints."""
     parser = _Parser(prog="rivercross", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rivercross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import add, le, sub
+from operator import le, mul, sub
 from typing import Callable, NamedTuple
 
 from .digraph import Digraph, all_shortest_paths
@@ -142,31 +142,9 @@ def species_state_ok(sp: SpeciesPuzzle, populations: tuple[int, ...], boat_on_st
     return sp.bank_rule(populations, boat_on_start) and sp.bank_rule(far, not boat_on_start)
 
 
-def species_states(sp: SpeciesPuzzle) -> list[SpeciesState]:
-    """Every (populations, boat flag) state with both banks safe, in lexicographic order.
-
-    Raises ValueError when the initial position itself is unsafe: such a
-    puzzle is ill-posed, not unsolvable.
-    """
-    if not species_state_ok(sp, sp.amounts, True):
-        raise ValueError("initial position violates the bank rule")
-    return [(vec, flag)
-            for vec in product(*(range(a + 1) for a in sp.amounts))
-            for flag in (0, 1)
-            if species_state_ok(sp, vec, flag == 1)]
-
-
-def _shifted(sp: SpeciesPuzzle, vec: tuple[int, ...], forward: bool) -> list[tuple[int, ...]]:
-    """Start-bank populations after each of the puzzle's loads crosses from `vec`.
-
-    A forward crossing leaves the start bank, a return crossing the far bank;
-    a load fits only if the bank it leaves holds everyone aboard.
-    """
-    if forward:
-        room, step = vec, sub
-    else:
-        room, step = tuple(map(sub, sp.amounts, vec)), add
-    return [tuple(map(step, vec, load)) for load in sp.loads if all(map(le, load, room))]
+def _mc_safe(m: int, c: int, margin: int) -> bool:
+    """The MC rule: wherever both groups are present, missionaries lead by at least `margin`."""
+    return not (m > 0 and c > 0 and m - c < margin)
 
 
 def mc_species(p: McParams) -> SpeciesPuzzle:
@@ -179,7 +157,7 @@ def mc_species(p: McParams) -> SpeciesPuzzle:
 
     def safe(group: tuple[int, ...], boat_present: bool = False) -> bool:
         m, c = group
-        return not (m > 0 and c > 0 and m - c < margin)
+        return _mc_safe(m, c, margin)
 
     return SpeciesPuzzle(
         names=("missionaries", "cannibals"),
@@ -216,19 +194,56 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     """State graph of a species puzzle.
 
     Vertex 1 is the initial state (everyone and the boat on the start bank),
-    vertex n the goal (everyone and the boat across); the remaining states sit
-    between them in lexicographic order, so numbering is reproducible.
+    vertex n the goal (everyone and the boat across); the remaining legal
+    states sit between them in lexicographic order, so numbering is
+    reproducible.
+
+    The puzzle is compiled on integer indices.  Vector i of the box, in the
+    lexicographic order of `product`, has its far bank at vector N-1-i, so
+    `bank_rule` runs once per vector and boat side.  A crossing subtracts
+    (forward) or adds (back) the load's mixed-radix offset; a load fits only
+    if the bank it leaves holds everyone aboard.
+
+    Raises ValueError when the initial position itself is unsafe: such a
+    puzzle is ill-posed, not unsolvable.
     """
-    initial: SpeciesState = (sp.amounts, 1)
-    goal: SpeciesState = (tuple(0 for _ in sp.amounts), 0)
-    middle = [s for s in species_states(sp) if s != initial and s != goal]
-    ordered = (initial, *middle, goal)
-    index = {state: i + 1 for i, state in enumerate(ordered)}
+    amounts = sp.amounts
+    boxes = [range(a + 1) for a in amounts]
+    present = [sp.bank_rule(vec, True) for vec in product(*boxes)]
+    absent = [sp.bank_rule(vec, False) for vec in product(*boxes)]
+    last = len(present) - 1
+    if not (present[last] and absent[0]):
+        raise ValueError("initial position violates the bank rule")
+    order = [(last, 1)]  # the initial state; the goal (0, 0) comes last
+    for i in range(last + 1):
+        if absent[i] and present[last - i] and i != 0:
+            order.append((i, 0))
+        if present[i] and absent[last - i] and i != last:
+            order.append((i, 1))
+    order.append((0, 0))
+    vertex = ([0] * (last + 1), [0] * (last + 1))  # vertex[flag][i], 0 for an illegal state
+    for v, (i, flag) in enumerate(order, start=1):
+        vertex[flag][i] = v
+    weights = [1] * len(amounts)  # weights[k]: how far one more of species k moves the index
+    for k in range(len(amounts) - 2, -1, -1):
+        weights[k] = weights[k + 1] * (amounts[k + 1] + 1)
+    crossings = [(load, sum(map(mul, load, weights))) for load in sp.loads]
+    # Only the legal states' vectors are decoded; the box's are never held at once.
+    states = tuple((tuple([i // w % (a + 1) for w, a in zip(weights, amounts)]), flag)
+                   for i, flag in order)
     rows = []
-    for vec, flag in ordered:
-        targets = (index.get((nxt, 1 - flag)) for nxt in _shifted(sp, vec, flag == 1))
-        rows.append(tuple(sorted({j for j in targets if j is not None})))
-    return Digraph(tuple(rows)), ordered
+    for (i, flag), (vec, _) in zip(order, states):
+        if flag:
+            into = vertex[0]
+            row = [j for load, offset in crossings
+                   if offset <= i and (j := into[i - offset]) and all(map(le, load, vec))]
+        else:
+            room, into, top = tuple(map(sub, amounts, vec)), vertex[1], last - i
+            row = [j for load, offset in crossings
+                   if offset <= top and (j := into[i + offset]) and all(map(le, load, room))]
+        row.sort()
+        rows.append(tuple(row))
+    return Digraph(tuple(rows)), states
 
 
 def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:
@@ -297,33 +312,38 @@ class Violation:
 
 def validate_solution(p: McParams, moves: tuple[Move, ...]) -> Violation | None:
     """Check a move script from the initial state; None means fully legal and complete."""
-    sp = mc_species(p)
-    path = moves_to_path(p, moves)
-    for idx, (mv, before, (m, c, boat)) in enumerate(zip(moves, path, path[1:])):
-        e1, e2 = mv.missionaries, mv.cannibals
+    total_m, total_c, capacity, margin = p
+    m, c, boat = total_m, total_c, 1
+    for idx, mv in enumerate(moves):
+        e1, e2, forward = mv
         if e1 < 0 or e2 < 0:
             return Violation(idx, "load-range", f"negative load {mv.render()}")
         if e1 + e2 == 0:
             return Violation(idx, "empty-boat", "the boat cannot cross empty")
-        if e1 + e2 > p.boat_capacity:
+        if e1 + e2 > capacity:
             return Violation(
                 idx, "boat-capacity",
-                f"load {mv.render()} exceeds capacity {p.boat_capacity}")
-        if not sp.boat_rule((e1, e2)):
+                f"load {mv.render()} exceeds capacity {capacity}")
+        if not _mc_safe(e1, e2, margin):
             return Violation(
                 idx, "boat-balance",
-                f"load {mv.render()} violates the margin {p.safety_margin}")
-        if mv.forward != (before.boat == 1):
+                f"load {mv.render()} violates the margin {margin}")
+        if forward != (boat == 1):
             return Violation(idx, "boat-side", "move direction does not match the boat's bank")
-        if not (0 <= m <= p.missionaries and 0 <= c <= p.cannibals):
-            bank = "start" if mv.forward else "far"
+        if forward:
+            m, c = m - e1, c - e2
+        else:
+            m, c = m + e1, c + e2
+        boat = 1 - boat
+        if not (0 <= m <= total_m and 0 <= c <= total_c):
+            bank = "start" if forward else "far"
             return Violation(idx, "availability", f"not enough people on the {bank} bank")
-        if not species_state_ok(sp, (m, c), boat == 1):
+        if not (_mc_safe(m, c, margin) and _mc_safe(total_m - m, total_c - c, margin)):
             return Violation(
                 idx, "bank-balance",
                 f"state {(m, c, boat)} leaves missionaries outnumbered beyond the margin")
-    if path[-1] != (0, 0, 0):
-        return Violation(len(moves), "incomplete", f"script ends at {tuple(path[-1])}, not the goal")
+    if (m, c, boat) != (0, 0, 0):
+        return Violation(len(moves), "incomplete", f"script ends at {(m, c, boat)}, not the goal")
     return None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .puzzle import BankState, McParams, Move, moves_to_path, validate_params
+from .puzzle import McParams, Move, validate_params
 from .puzzle import Violation, validate_solution  # noqa: F401  (re-exported)
 
 
@@ -53,16 +53,7 @@ def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
     """Emit the move script for one strategy, or None when its condition fails."""
     if strategy not in applicability(p):
         return None
-    builder = {
-        Strategy.TWO_BOAT: _two_boat,
-        Strategy.BIG_BOAT_1: _big_boat_1,
-        Strategy.BIG_BOAT_2: _big_boat_2,
-        Strategy.SPLIT_CANNIBALS: _split_cannibals,
-        Strategy.SIMULTANEOUS_FERRY: _simultaneous_ferry,
-        Strategy.ZERO_MARGIN_SLACK: _zero_margin_slack,
-        Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT: _zero_margin_equal_big_boat,
-    }[strategy]
-    return _trim_at_goal(p, builder(p))
+    return _BUILDERS[strategy](p)
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +63,36 @@ def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
 
 
 class _Script:
+    """A move script that notes when everyone is first across (some recipes overshoot)."""
+
     def __init__(self, p: McParams):
-        self.p = p
         self.m = p.missionaries
         self.c = p.cannibals
         self.moves: list[Move] = []
+        self.goal: int | None = None  # moves made when the goal state (0, 0, 0) was first reached
 
     def forward(self, e1: int, e2: int) -> None:
         self.moves.append(Move(e1, e2, True))
         self.m -= e1
         self.c -= e2
+        if not (self.m or self.c):
+            self._note_goal()
 
     def back(self, e1: int, e2: int) -> None:
         self.moves.append(Move(e1, e2, False))
         self.m += e1
         self.c += e2
+        if not (self.m or self.c):
+            self._note_goal()
+
+    def _note_goal(self) -> None:
+        # Nobody is left on the start bank; the boat is across after an odd number of crossings.
+        if self.goal is None and len(self.moves) % 2:
+            self.goal = len(self.moves)
 
     def done(self) -> tuple[Move, ...]:
-        return tuple(self.moves)
+        """The script, cut at the first moment everyone is across."""
+        return tuple(self.moves[: self.goal])
 
 
 def _two_boat(p: McParams) -> tuple[Move, ...]:
@@ -208,8 +211,12 @@ def _zero_margin_equal_big_boat(p: McParams) -> tuple[Move, ...]:
     return s.done()
 
 
-def _trim_at_goal(p: McParams, moves: tuple[Move, ...]) -> tuple[Move, ...]:
-    """Cut a script at the first moment everyone is across (some recipes overshoot)."""
-    path = moves_to_path(p, moves)
-    goal = BankState(0, 0, 0)
-    return moves[: path.index(goal)] if goal in path else moves
+_BUILDERS = {
+    Strategy.TWO_BOAT: _two_boat,
+    Strategy.BIG_BOAT_1: _big_boat_1,
+    Strategy.BIG_BOAT_2: _big_boat_2,
+    Strategy.SPLIT_CANNIBALS: _split_cannibals,
+    Strategy.SIMULTANEOUS_FERRY: _simultaneous_ferry,
+    Strategy.ZERO_MARGIN_SLACK: _zero_margin_slack,
+    Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT: _zero_margin_equal_big_boat,
+}

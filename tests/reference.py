@@ -2,16 +2,19 @@
 
 Dense adjacency-matrix powers and their symbolic counterpart, which labels
 every edge so each monomial of a matrix entry reconstructs one concrete path,
-plus a seeded random digraph generator, and the transfer stage computed
-directly, without the successor table.
+plus a seeded random digraph generator, and a species puzzle's states, state
+graph and transfer stage computed by direct loops over loads and banks.  From
+the package this module takes only data types, never a rule or a kernel, so a
+fault in the package cannot hide behind an oracle that shares it.
 """
 
 import random
+from collections import deque
+from itertools import product
 
 from rivercross.digraph import Digraph, PathList
-from rivercross.puzzle import SpeciesPuzzle, _shifted
-from rivercross.transfer import Polynomial, cleanup
-from rivercross.walkcount import count_shortest_walks
+from rivercross.puzzle import SpeciesPuzzle
+from rivercross.transfer import Polynomial
 
 # A symbolic matrix entry: formal sum of edge-label products, stored as a map
 # from a sorted tuple of edges (with multiplicity) to an integer coefficient.
@@ -81,10 +84,9 @@ def symbolic_shortest_paths(g: Digraph, source: int, target: int) -> PathList | 
     entry is a squarefree edge set forming a single chain, which is decoded
     back into a vertex path.
     """
-    hit = count_shortest_walks(g, source, target)
-    if hit is None:
+    k = bfs_distance(g, source, target)
+    if k is None:
         return None
-    k, _ = hit
     n = g.n
     row: list[SymEntry] = [{} for _ in range(n)]
     row[source - 1] = {(): 1}
@@ -124,14 +126,87 @@ def _chain(mono: Monomial, source: int, target: int, length: int) -> tuple[int, 
     return tuple(path)
 
 
-def reference_transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
-    """One crossing: shift every monomial by every load, then clean up the sum.
+def bfs_distance(g: Digraph, source: int, target: int) -> int | None:
+    """Length of a shortest source-to-target path by plain breadth-first search, or None."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if v == target:
+            return dist[v]
+        for w in g.out(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return None
 
-    Forward crossings subtract load vectors and clean with the boat on the far
-    side; return crossings add and clean with the boat back at the start.
+
+def reference_loads(sp: SpeciesPuzzle) -> list[tuple[int, ...]]:
+    """Every load the boat may carry, by a loop over all vectors up to the capacity."""
+    loads = []
+    for load in product(range(sp.boat_capacity + 1), repeat=len(sp.amounts)):
+        size = sum(load)
+        if size > sp.boat_capacity or (size == 0 and not sp.allow_empty_boat):
+            continue
+        if size == 0 or sp.boat_rule(load):
+            loads.append(load)
+    return loads
+
+
+def reference_state_ok(sp: SpeciesPuzzle, vec: tuple[int, ...], boat_on_start: bool) -> bool:
+    """Whether `vec` lies in the box and both banks pass the bank rule."""
+    if any(not 0 <= v <= a for v, a in zip(vec, sp.amounts)):
+        return False
+    far = tuple(a - v for a, v in zip(sp.amounts, vec))
+    return sp.bank_rule(vec, boat_on_start) and sp.bank_rule(far, not boat_on_start)
+
+
+def reference_crossings(sp: SpeciesPuzzle, vec: tuple[int, ...], forward: bool) -> list[tuple[int, ...]]:
+    """Start-bank populations after each load crosses from `vec`, if the leaving bank holds it."""
+    out = []
+    for load in reference_loads(sp):
+        if forward:
+            after = tuple(v - e for v, e in zip(vec, load))
+        else:
+            after = tuple(v + e for v, e in zip(vec, load))
+        if all(0 <= v <= a for v, a in zip(after, sp.amounts)):
+            out.append(after)
+    return out
+
+
+def reference_states(sp: SpeciesPuzzle) -> list[tuple[tuple[int, ...], int]]:
+    """Every legal (populations, boat flag) state, in lexicographic order."""
+    return [(vec, flag)
+            for vec in product(*(range(a + 1) for a in sp.amounts))
+            for flag in (0, 1)
+            if reference_state_ok(sp, vec, flag == 1)]
+
+
+def reference_species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple]:
+    """The state graph by direct loops: initial, the other legal states in order, then the goal."""
+    initial = (tuple(sp.amounts), 1)
+    goal = (tuple(0 for _ in sp.amounts), 0)
+    if not reference_state_ok(sp, *initial):
+        raise ValueError("initial position violates the bank rule")
+    states = (initial, *(s for s in reference_states(sp) if s not in (initial, goal)), goal)
+    number = {state: v for v, state in enumerate(states, start=1)}
+    rows = []
+    for vec, flag in states:
+        after = ((nxt, 1 - flag) for nxt in reference_crossings(sp, vec, flag == 1))
+        rows.append(tuple(sorted(number[s] for s in after if s in number)))
+    return Digraph(tuple(rows)), states
+
+
+def reference_transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
+    """One crossing: shift every monomial by every load, then drop illegal monomials and zeros.
+
+    Forward crossings subtract load vectors and keep states with the boat on
+    the far side; return crossings add and keep those with the boat back at
+    the start.
     """
     acc: Polynomial = {}
     for mono, coeff in poly.items():
-        for shifted in _shifted(sp, mono, forward):
+        for shifted in reference_crossings(sp, mono, forward):
             acc[shifted] = acc.get(shifted, 0) + coeff
-    return cleanup(acc, sp, boat_on_start=not forward)
+    return {mono: coeff for mono, coeff in acc.items()
+            if coeff and reference_state_ok(sp, mono, not forward)}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rivercross import McParams, mc_species, solve_by_transfer, transfer
+from rivercross import McParams, cli, mc_species, solve_by_transfer, transfer
 from rivercross.cli import MAX_STATE_BOX, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -216,6 +216,47 @@ class TestLongCounts:
         with pytest.raises(SystemExit):
             main(["count", "3"])
         assert sys.get_int_max_str_digits() == self.LIMIT
+
+
+class TestReentry:
+    """`main` reuses one parser; repeated calls in one process answer alike."""
+
+    COMMANDS = (
+        ("count", "3"),
+        ("count", "3", "3", "2", "0", "--method", "magic"),
+        ("count", "3", "3", "2", "0"),
+        ("--help",),
+        ("--version",),
+        ("solve", "5", "5", "3", "0", "--format", "json", "--deterministic"),
+        ("solve", "3", "3", "1", "0"),
+        ("sequence", "5", "3", "1", "8"),
+        ("strategy", "8", "3", "2", "1", "--name", "TwoBoat"),
+    ) + tuple((name, "--help") for name in (
+        "solve", "spell", "count", "trace", "sequence", "conjecture", "strategy"))
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def transcript(self, capsys):
+        return [self.outcome(capsys, argv) for argv in self.COMMANDS]
+
+    def test_repeated_calls_are_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._parser.cache_clear()
+        fresh = {80: self.transcript(capsys)}
+        monkeypatch.setenv("COLUMNS", "200")
+        cli._parser.cache_clear()
+        fresh[200] = self.transcript(capsys)
+        assert fresh[80] != fresh[200]  # help wraps to the width
+        for columns in (80, 200, 80, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert self.transcript(capsys) == fresh[columns], columns
 
 
 class TestMethodAgreement:

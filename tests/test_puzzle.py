@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ from rivercross.transfer import solve_by_transfer
 from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_SOLUTIONS
+from reference import reference_species_graph
 
 
 def grid_instances(m_max=6, c_max=6, b_max=5, d_max=2):
@@ -353,6 +355,61 @@ class TestSpeciesPuzzles:
         )
         with pytest.raises(ValueError, match="initial position"):
             solve_by_transfer(sp)
+
+
+def three_species(boat_side: bool) -> SpeciesPuzzle:
+    """Unequal amounts, so the three radices differ; optionally a bank rule that reads the boat."""
+
+    def bank_rule(v, boat_present):
+        if boat_side and boat_present:
+            return True
+        return not (v[1] and v[2] > v[0])
+
+    return SpeciesPuzzle(
+        names=("a", "b", "c"),
+        amounts=(3, 1, 2),
+        boat_capacity=2,
+        bank_rule=bank_rule,
+        boat_rule=lambda load: load[0] >= load[2],
+    )
+
+
+def boat_side_pairs() -> SpeciesPuzzle:
+    """Cannibals may outnumber missionaries only on the bank where the boat is."""
+    return SpeciesPuzzle(
+        names=("missionaries", "cannibals"),
+        amounts=(4, 3),
+        boat_capacity=2,
+        bank_rule=lambda v, boat: boat or not (0 < v[0] < v[1]),
+        boat_rule=lambda load: True,
+    )
+
+
+class TestCompiledGraph:
+    """`species_graph` against a direct-loop oracle: same rows, same numbering, same states."""
+
+    def test_mc_grid(self):
+        instances = 0
+        for p in grid_instances(8, 8, 5, 2):
+            sp = mc_species(p)
+            assert species_graph(sp) == reference_species_graph(sp), p
+            instances += 1
+        assert instances == 340
+
+    def test_other_puzzles_with_and_without_empty_crossings(self):
+        puzzles = [wolf_goat_cabbage(), three_species(False), three_species(True),
+                   boat_side_pairs()]
+        puzzles += [mc_species(p) for p in grid_instances(4, 4, 3, 1)]
+        for sp in puzzles:
+            for empty in (False, True):
+                variant = dataclasses.replace(sp, allow_empty_boat=empty)
+                assert species_graph(variant) == reference_species_graph(variant), (
+                    sp.names, sp.amounts, empty)
+
+    def test_boat_side_rule_changes_the_graph(self):
+        # The oracle comparison means something only if the boat side matters here.
+        with_boat, without = three_species(True), three_species(False)
+        assert species_graph(with_boat)[1] != species_graph(without)[1]
 
 
 class TestBridges:

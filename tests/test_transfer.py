@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -10,12 +11,11 @@ from rivercross import (
     SpeciesPuzzle,
     mc_graph,
     mc_species,
-    puzzle,
     solve_mc,
     transfer,
     wolf_goat_cabbage,
 )
-from rivercross.puzzle import species_loads, species_states
+from rivercross.puzzle import species_loads
 from rivercross.transfer import (
     cleanup,
     format_polynomial,
@@ -27,7 +27,7 @@ from rivercross.transfer import (
 from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_F, CLASSIC_G
-from reference import reference_transfer_step
+from reference import reference_states, reference_transfer_step
 
 
 def classic_species():
@@ -144,7 +144,7 @@ class TestSuccessorTable:
     def test_matches_reference_on_random_polynomials(self):
         rng = random.Random(17)
         for sp in oracle_puzzles():
-            states = species_states(sp)
+            states = reference_states(sp)
             for forward in (True, False):
                 vectors = [vec for vec, flag in states if flag == forward]
                 for _ in range(6):
@@ -155,7 +155,7 @@ class TestSuccessorTable:
     def test_illegal_or_out_of_box_monomial_raises(self):
         rng = random.Random(5)
         for sp in oracle_puzzles():
-            legal = set(species_states(sp))
+            legal = set(reference_states(sp))
             for _ in range(12):
                 mono = random_monomial(rng, sp.amounts)
                 for forward in (True, False):
@@ -196,34 +196,27 @@ class TestSuccessorTable:
                 forward = not forward
 
     def test_one_box_scan_per_solve(self, monkeypatch):
-        sp = mc_species(McParams(30, 30, 3, 0))
-        legal_states = len(species_states(sp))
-        real_shifted, real_ok, real_step = (
-            puzzle._shifted, puzzle.species_state_ok, transfer.transfer_step)
-        shifts, checks, steps = Counter(), [], []
+        mc = mc_species(McParams(30, 30, 3, 0))
+        checks = Counter()
 
-        def counted_shifted(sp, vec, forward):
-            shifts[vec, forward] += 1
-            return real_shifted(sp, vec, forward)
+        def counted_rule(vec, boat_present):
+            checks[vec, boat_present] += 1
+            return mc.bank_rule(vec, boat_present)
 
-        def counted_ok(*args):
-            checks.append(args)
-            return real_ok(*args)
+        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        real_step, steps = transfer.transfer_step, []
 
         def counted_step(poly, sp, forward):
             steps.append(forward)
             return real_step(poly, sp, forward)
 
-        monkeypatch.setattr(puzzle, "_shifted", counted_shifted)
-        monkeypatch.setattr(puzzle, "species_state_ok", counted_ok)
-        monkeypatch.setattr(transfer, "species_state_ok", counted_ok)
         monkeypatch.setattr(transfer, "transfer_step", counted_step)
         out = solve_by_transfer(sp)
         assert not out.solvable and out.iterations_run == 92
         assert len(steps) == 184
-        assert set(shifts.values()) == {1} and len(shifts) == legal_states
-        # Every vector of the 31x31 box on both boat sides, plus the initial position.
-        assert len(checks) == 2 * 31 * 31 + 1
+        # The bank rule runs exactly once on each vector of the 31x31 box, per boat side.
+        assert sum(checks.values()) == 2 * 31 * 31
+        assert set(checks.values()) == {1}
 
 
 class TestSolveByTransfer:
