@@ -267,20 +267,18 @@ def _cmd_trace(args) -> tuple[dict, int]:
         raise ValueError("stages must be non-negative")
     sp = mc_species(p)
     outcome, trace = solve_and_trace(sp)
-    stages = args.steps if args.steps is not None else outcome.iterations_run
+    # Without --steps an unsolvable trace runs to the fallback bound, past the support fixpoint.
+    stages = args.steps if args.steps is not None else (
+        outcome.success_index if outcome.solvable else outcome.states_bound + 1)
     initial = {sp.amounts: 1}
     lines = [_params_line(p), f"f0 = {format_polynomial(initial)}"]
     polys = {"f0": _poly_json(initial)}
-    stop = outcome.success_index if outcome.solvable and args.steps is None else None
-    for i in range(1, stages + 1):
-        g = next(trace)
-        lines.append(f"g{i} = {format_polynomial(g)}")
-        polys[f"g{i}"] = _poly_json(g)
-        if i == stop:
-            break
-        f = next(trace)
-        lines.append(f"f{i} = {format_polynomial(f)}")
-        polys[f"f{i}"] = _poly_json(f)
+    names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
+    if outcome.solvable and args.steps is None:
+        names.pop()  # the success stage ends on its forward polynomial
+    for name, poly in zip(names, trace):
+        lines.append(f"{name} = {format_polynomial(poly)}")
+        polys[name] = _poly_json(poly)
     if args.steps is None:
         if outcome.solvable:
             lines.append(
@@ -288,7 +286,7 @@ def _cmd_trace(args) -> tuple[dict, int]:
                 f"solvable in {outcome.crossings} crossings, {outcome.count} solutions")
         else:
             lines.append(
-                f"no constant term through stage {outcome.iterations_run}; "
+                f"no constant term through stage {stages}; "
                 f"{outcome.states_bound} legal states, so the instance is UNSOLVABLE")
     payload = {
         "command": "trace",

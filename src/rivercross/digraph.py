@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,35 @@ def all_shortest_paths(g: Digraph, source: int, target: int) -> PathList | None:
             path.append(v)
             branches.append(iter(steps[v]))
     return PathList(length, tuple(paths))
+
+
+def walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], bool]]:
+    """Row k of the k-th adjacency power from the source, for k = 1, 2, ... without end.
+
+    A row is `(counts, support, settled)`: `counts[v]` walks of length k end at
+    v (entry 0 is padding), `support` lists the v with `counts[v] > 0`, and
+    `settled` says the support is empty or equals the support two rows back.
+    Each support is the out-neighbourhood of the one before, so on any digraph
+    the later supports then stay empty or alternate between the last two.
+    """
+    _check_vertex(g, source)
+    out = ((),) + g.neighbors  # out[v]: the out-neighbours of vertex v
+    counts, support = [0] * len(out), [source]
+    counts[source] = 1
+    before, before_support = [], []  # the counts and support two rows back; none before row 2
+    while True:
+        nxt, grown = [0] * len(out), []
+        for v in support:
+            c = counts[v]
+            for w in out[v]:
+                x = nxt[w]
+                if not x:
+                    grown.append(w)
+                nxt[w] = x + c
+        settled = not grown or (len(grown) == len(before_support)
+                                and all(map(before.__getitem__, grown)))
+        yield nxt, grown, settled
+        before, before_support, counts, support = counts, support, nxt, grown
 
 
 def _closer(g: Digraph, dist: list[int | None], v: int) -> list[int]:

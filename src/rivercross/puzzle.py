@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import le, mul, sub
+from itertools import compress, product
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .digraph import Digraph, all_shortest_paths
@@ -99,21 +99,10 @@ class SpeciesPuzzle:
     boat_rule: BoatRule
     allow_empty_boat: bool = False
 
-    @property
-    def species_count(self) -> int:
-        return len(self.amounts)
-
     @cached_property
-    def loads(self) -> tuple[tuple[int, ...], ...]:
-        """`species_loads` of this puzzle, computed once."""
-        return species_loads(self)
-
-    @cached_property
-    def _successors(self) -> dict[SpeciesState, tuple[tuple[int, ...], ...]]:
-        """Each legal state -> the start-bank populations of its successors in `species_graph`."""
-        graph, states = species_graph(self)
-        return {state: tuple(states[j - 1][0] for j in graph.out(i))
-                for i, state in enumerate(states, start=1)}
+    def state_graph(self) -> tuple[Digraph, tuple[SpeciesState, ...]]:
+        """`species_graph` of this puzzle, compiled once."""
+        return species_graph(self)
 
 
 SpeciesState = tuple[tuple[int, ...], int]  # (populations on start bank, boat flag)
@@ -121,9 +110,9 @@ SpeciesState = tuple[tuple[int, ...], int]  # (populations on start bank, boat f
 
 def species_loads(sp: SpeciesPuzzle) -> tuple[tuple[int, ...], ...]:
     """All boat loads the puzzle admits, in ascending lexicographic order."""
-    k = sp.species_count
     out = []
-    for load in product(range(sp.boat_capacity + 1), repeat=k):
+    # No load carries more of a species than the puzzle has: such a load fits no bank.
+    for load in product(*(range(min(a, sp.boat_capacity) + 1) for a in sp.amounts)):
         total = sum(load)
         if total > sp.boat_capacity:
             continue
@@ -201,8 +190,8 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     The puzzle is compiled on integer indices.  Vector i of the box, in the
     lexicographic order of `product`, has its far bank at vector N-1-i, so
     `bank_rule` runs once per vector and boat side.  A crossing subtracts
-    (forward) or adds (back) the load's mixed-radix offset; a load fits only
-    if the bank it leaves holds everyone aboard.
+    (forward) or adds (back) the load's mixed-radix offset, on a radix padded
+    so that a load fits exactly when it lands on a legal state.
 
     Raises ValueError when the initial position itself is unsafe: such a
     puzzle is ill-posed, not unsolvable.
@@ -215,32 +204,31 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     if not (present[last] and absent[0]):
         raise ValueError("initial position violates the bank rule")
     order = [(last, 1)]  # the initial state; the goal (0, 0) comes last
-    for i in range(last + 1):
-        if absent[i] and present[last - i] and i != 0:
-            order.append((i, 0))
-        if present[i] and absent[last - i] and i != last:
-            order.append((i, 1))
+    order += sorted([(i, 0) for i in compress(range(1, last + 1), absent[1:]) if present[last - i]]
+                    + [(i, 1) for i in compress(range(last), present) if absent[last - i]])
     order.append((0, 0))
-    vertex = ([0] * (last + 1), [0] * (last + 1))  # vertex[flag][i], 0 for an illegal state
-    for v, (i, flag) in enumerate(order, start=1):
-        vertex[flag][i] = v
-    weights = [1] * len(amounts)  # weights[k]: how far one more of species k moves the index
+    # weights[k] moves i by one of species k; padded[k] does so on a radix with spare[k]
+    # more values either side of digit k, where a crossing never borrows or carries.
+    spare = [min(a, sp.boat_capacity) for a in amounts]
+    weights, padded = [1] * len(amounts), [1] * len(amounts)
     for k in range(len(amounts) - 2, -1, -1):
         weights[k] = weights[k + 1] * (amounts[k + 1] + 1)
-    crossings = [(load, sum(map(mul, load, weights))) for load in sp.loads]
+        padded[k] = padded[k + 1] * (amounts[k + 1] + 1 + 2 * spare[k + 1])
     # Only the legal states' vectors are decoded; the box's are never held at once.
     states = tuple((tuple([i // w % (a + 1) for w, a in zip(weights, amounts)]), flag)
                    for i, flag in order)
+    spots = [sum(map(mul, map(add, vec, spare), padded)) for vec, _ in states]
+    size = padded[0] * (amounts[0] + 1 + 2 * spare[0])
+    vertex = ([0] * size, [0] * size)  # vertex[flag][spot], 0 for an illegal or off-box state
+    for v, (spot, (_, flag)) in enumerate(zip(spots, states), start=1):
+        vertex[flag][spot] = v
+    # A load that the leaving bank cannot hold lands off the box, on a 0.
+    offsets = [sum(map(mul, load, padded)) for load in species_loads(sp)]
+    shifts = (offsets, [-o for o in offsets])  # shifts[flag]: forward crossings subtract
     rows = []
-    for (i, flag), (vec, _) in zip(order, states):
-        if flag:
-            into = vertex[0]
-            row = [j for load, offset in crossings
-                   if offset <= i and (j := into[i - offset]) and all(map(le, load, vec))]
-        else:
-            room, into, top = tuple(map(sub, amounts, vec)), vertex[1], last - i
-            row = [j for load, offset in crossings
-                   if offset <= top and (j := into[i + offset]) and all(map(le, load, room))]
+    for spot, (_, flag) in zip(spots, states):
+        into = vertex[1 - flag]
+        row = [j for shift in shifts[flag] if (j := into[spot + shift])]
         row.sort()
         rows.append(tuple(row))
     return Digraph(tuple(rows)), states

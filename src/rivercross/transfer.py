@@ -3,14 +3,18 @@
 Populations on the starting bank are tracked as monomial exponents.  One
 forward crossing divides by a legal boat load (subtracts its exponent vector),
 one return crossing multiplies, and monomials encoding unsafe banks die.  A
-monomial with the boat on one side is a state of the puzzle's state graph, and
-what survives one crossing is that state's successors there, so every stage is
-a sparse vector-times-matrix product over the graph's rows, tabulated once per
-puzzle (the transfer-matrix method).  The iteration alternates forward and back
-from the full initial population; the first stage whose forward polynomial
-gains a constant term proves the puzzle solvable, and that constant term is the
-exact number of shortest solutions.  If no constant term appears within one
-stage more than the number of legal states, no solution exists.
+monomial with the boat on one side is a state of the puzzle's state graph and
+its successors are what survives one crossing, so the stages are the rows of
+the graph's adjacency powers from the initial state (the transfer-matrix
+method), read from `digraph.walk_rows` on the puzzle's `state_graph`.  The
+first forward stage with a constant term proves the puzzle solvable, and that
+term is the exact number of shortest solutions.
+
+No solution exists once a stage's support is empty or equals the support two
+stages back: each support is the set of successors of the one before, so on
+any state graph the supports then repeat for ever without the goal.  Supports
+could cycle with a longer period, so the iteration also stops, as a fallback,
+one stage past the number of legal states, which no shortest solution outlasts.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from itertools import tee
 from typing import Iterator
 
+from .digraph import walk_rows
 from .puzzle import SpeciesPuzzle, species_state_ok
 
 Exponents = tuple[int, ...]
@@ -27,6 +32,12 @@ Polynomial = dict[Exponents, int]
 
 @dataclass(frozen=True)
 class TransferOutcome:
+    """The verdict of the transfer iteration.
+
+    `iterations_run` counts the stages computed: through the success, through
+    the support fixpoint, or `states_bound + 1` when the fallback bound ends it.
+    """
+
     solvable: bool
     crossings: int | None
     count: int | None
@@ -62,17 +73,19 @@ def transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynom
     A forward crossing leaves from the state whose start bank holds the
     monomial's populations and the boat; a return crossing leaves with the
     boat on the far bank.  The successors are that state's out-neighbours in
-    `species_graph`, read from the puzzle's successor table; sums of zero are
-    dropped.  Raises ValueError for a monomial that is no legal state there.
+    the puzzle's `state_graph`; sums of zero are dropped.  Raises ValueError
+    for a monomial that is no legal state there.
     """
-    table, boat = sp._successors, 1 if forward else 0
+    graph, states = sp.state_graph
+    vertex = {state: v for v, state in enumerate(states, start=1)}
     acc: Polynomial = {}
     for mono, coeff in poly.items():
-        row = table.get((mono, boat))
-        if row is None:
+        v = vertex.get((mono, int(forward)))
+        if v is None:
             side = "start" if forward else "far"
             raise ValueError(f"monomial {mono} is no legal state with the boat on the {side} bank")
-        for succ in row:
+        for w in graph.out(v):
+            succ = states[w - 1][0]
             acc[succ] = acc.get(succ, 0) + coeff
     return {mono: coeff for mono, coeff in acc.items() if coeff}
 
@@ -83,70 +96,50 @@ def legal_state_bound(sp: SpeciesPuzzle) -> int:
     For puzzles whose bank rule ignores the boat this is the number of legal
     population vectors; otherwise each (vector, boat side) pair counts.
     """
-    states = sp._successors
+    states = sp.state_graph[1]
     vectors = {vec for vec, _ in states}
     return len(vectors) if len(states) == 2 * len(vectors) else len(states)
 
 
-def _stages(sp: SpeciesPuzzle) -> Iterator[Polynomial]:
-    """The polynomials g1, f1, g2, f2, ..., each computed only when asked for."""
-    poly: Polynomial = {sp.amounts: 1}
-    forward = True
-    while True:
-        poly = transfer_step(poly, sp, forward)
-        yield poly
-        forward = not forward
+def _polynomials(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> Iterator[Polynomial]:
+    """The rows g1, f1, g2, f2, ... decoded into polynomials over the start-bank populations."""
+    states = sp.state_graph[1]
+    return ({states[v - 1][0]: counts[v] for v in support} for counts, support, _ in rows)
 
 
-def _verdict(sp: SpeciesPuzzle, polys: Iterator[Polynomial]) -> TransferOutcome:
-    """Read g1, f1, g2, ... until a constant term appears or the bound is exhausted."""
-    bound = legal_state_bound(sp)
-    zero = tuple(0 for _ in sp.amounts)
-    i = 0
+def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
+    """Read the rows g1, f1, g2, ... until the goal appears, the supports settle or the bound."""
+    bound, goal = legal_state_bound(sp), sp.state_graph[0].n
     for i in range(1, bound + 2):
-        across = next(polys)
-        constant = across.get(zero, 0)
-        if constant:
-            return TransferOutcome(
-                solvable=True,
-                crossings=2 * i - 1,
-                count=constant,
-                success_index=i,
-                states_bound=bound,
-                iterations_run=i,
-            )
-        if not across:
+        counts, _, settled = next(rows)
+        if counts[goal]:
+            return TransferOutcome(solvable=True, crossings=2 * i - 1, count=counts[goal],
+                                   success_index=i, states_bound=bound, iterations_run=i)
+        if settled or next(rows)[2]:
             break
-        next(polys)
-    return TransferOutcome(
-        solvable=False,
-        crossings=None,
-        count=None,
-        success_index=None,
-        states_bound=bound,
-        iterations_run=i,
-    )
+    return TransferOutcome(solvable=False, crossings=None, count=None, success_index=None,
+                           states_bound=bound, iterations_run=i)
 
 
 def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
-    """Run the alternating iteration until a constant term appears or the bound is exhausted."""
-    return _verdict(sp, _stages(sp))
+    """Run the alternating iteration until the goal appears or the supports settle."""
+    return _verdict(sp, walk_rows(sp.state_graph[0], 1))
 
 
 def solve_and_trace(sp: SpeciesPuzzle) -> tuple[TransferOutcome, Iterator[Polynomial]]:
     """The verdict of `solve_by_transfer` and the polynomials g1, f1, g2, f2, ... of one pass.
 
-    The polynomials the verdict read are replayed; later ones are computed on demand.
+    The rows the verdict read are replayed; later ones are computed on demand.
     """
-    verdict_reads, trace = tee(_stages(sp))
-    return _verdict(sp, verdict_reads), trace
+    verdict_reads, trace = tee(walk_rows(sp.state_graph[0], 1))
+    return _verdict(sp, verdict_reads), _polynomials(sp, trace)
 
 
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
     """Compute the first `stages` (forward, back) polynomial pairs for inspection."""
     if stages < 0:
         raise ValueError("stages must be non-negative")
-    polys = _stages(sp)
+    polys = _polynomials(sp, walk_rows(sp.state_graph[0], 1))
     steps = tuple((next(polys), next(polys)) for _ in range(stages))
     return TransferTrace({sp.amounts: 1}, steps)
 

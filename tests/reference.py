@@ -210,3 +210,16 @@ def reference_transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) 
             acc[shifted] = acc.get(shifted, 0) + coeff
     return {mono: coeff for mono, coeff in acc.items()
             if coeff and reference_state_ok(sp, mono, not forward)}
+
+
+def reference_reachable(sp: SpeciesPuzzle) -> set[tuple[tuple[int, ...], int]]:
+    """Every state reachable from the initial one, by breadth-first search over direct crossings."""
+    graph, states = reference_species_graph(sp)
+    seen = {1}
+    queue = deque([1])
+    while queue:
+        for w in graph.out(queue.popleft()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return {states[v - 1] for v in seen}

@@ -109,19 +109,21 @@ class TestTrace:
         (("4", "4", "2", "0", "--steps", "20"), 40),
     ])
     def test_each_stage_computed_once(self, capsys, monkeypatch, argv, steps):
-        real = transfer.transfer_step
-        calls = []
+        # Verdict and printout share one pass: each stage is one row of the walk kernel.
+        real = transfer.walk_rows
+        rows = []
 
         def counted(*args):
-            calls.append(args)
-            return real(*args)
+            for row in real(*args):
+                rows.append(row)
+                yield row
 
-        monkeypatch.setattr(transfer, "transfer_step", counted)
+        monkeypatch.setattr(transfer, "walk_rows", counted)
         for fmt in ("text", "json"):
-            calls.clear()
+            rows.clear()
             status, _, _ = run(capsys, "trace", *argv, "--format", fmt)
             assert status == 0
-            assert len(calls) == steps
+            assert len(rows) == steps
 
     def test_negative_steps_is_usage_error(self, capsys):
         status, _, err = run(capsys, "trace", "3", "3", "2", "0", "--steps", "-1")

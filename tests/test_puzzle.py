@@ -156,6 +156,9 @@ class TestBoatLoads:
         loads = boat_loads(McParams(9, 3, 4, 1))
         assert list(loads) == sorted(loads)
 
+    def test_no_load_exceeds_a_species(self):
+        assert boat_loads(McParams(2, 1, 5, 0)) == ((0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+
 
 class TestLegalMoves:
     def test_initial_successors(self):

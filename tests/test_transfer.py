@@ -27,7 +27,13 @@ from rivercross.transfer import (
 from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_F, CLASSIC_G
-from reference import reference_states, reference_transfer_step
+from reference import (
+    bfs_distance,
+    reference_reachable,
+    reference_species_graph,
+    reference_states,
+    reference_transfer_step,
+)
 
 
 def classic_species():
@@ -53,6 +59,27 @@ def oracle_puzzles():
             yield mc_species(McParams(m, c, b, d))
     yield wolf_goat_cabbage()
     yield boat_side_species()
+
+
+def verdict_puzzles():
+    """The MC grid M,C <= 12, B 2..5, d 0..2, then `oracle_puzzles()`."""
+    grid = (mc_species(McParams(m, c, b, d))
+            for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 6), range(3))
+            if m - c >= d)
+    return itertools.chain(grid, oracle_puzzles())
+
+
+def counted_rows(monkeypatch):
+    """Make the transfer's walk kernel record each row it computes; returns the record."""
+    real, rows = transfer.walk_rows, []
+
+    def counted(*args):
+        for row in real(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(transfer, "walk_rows", counted)
+    return rows
 
 
 def random_monomial(rng, amounts):
@@ -186,14 +213,16 @@ class TestSuccessorTable:
         assert step == {(3, 0): 1, (3, 2): -1}
 
     def test_stages_match_reference_through_iterations_run(self):
+        # Unsolvable puzzles are compared through the fallback bound, past the fixpoint.
         for sp in oracle_puzzles():
-            runs = solve_by_transfer(sp).iterations_run
-            stages = transfer._stages(sp)
-            poly, forward = {sp.amounts: 1}, True
-            for n in range(2 * runs):
-                poly = reference_transfer_step(poly, sp, forward)
-                assert next(stages) == poly, (sp.amounts, n)
-                forward = not forward
+            out = solve_by_transfer(sp)
+            runs = out.iterations_run if out.solvable else out.states_bound + 1
+            poly = {sp.amounts: 1}
+            for n, (g, f) in enumerate(transfer_trace(sp, runs).steps):
+                poly = reference_transfer_step(poly, sp, True)
+                assert g == poly, (sp.amounts, 2 * n)
+                poly = reference_transfer_step(poly, sp, False)
+                assert f == poly, (sp.amounts, 2 * n + 1)
 
     def test_one_box_scan_per_solve(self, monkeypatch):
         mc = mc_species(McParams(30, 30, 3, 0))
@@ -204,16 +233,10 @@ class TestSuccessorTable:
             return mc.bank_rule(vec, boat_present)
 
         sp = dataclasses.replace(mc, bank_rule=counted_rule)
-        real_step, steps = transfer.transfer_step, []
-
-        def counted_step(poly, sp, forward):
-            steps.append(forward)
-            return real_step(poly, sp, forward)
-
-        monkeypatch.setattr(transfer, "transfer_step", counted_step)
+        rows = counted_rows(monkeypatch)
         out = solve_by_transfer(sp)
-        assert not out.solvable and out.iterations_run == 92
-        assert len(steps) == 184
+        assert not out.solvable and out.iterations_run == 16
+        assert len(rows) == 2 * 16 - 1 and rows[-1][2]  # g16 settled
         # The bank rule runs exactly once on each vector of the 31x31 box, per boat side.
         assert sum(checks.values()) == 2 * 31 * 31
         assert set(checks.values()) == {1}
@@ -225,22 +248,49 @@ class TestSolveByTransfer:
         assert out.solvable and (out.success_index, out.crossings, out.count) == (6, 11, 4)
 
     def test_no_back_step_after_success(self, monkeypatch):
-        real = transfer.transfer_step
-        directions = []
-
-        def counted(poly, sp, forward):
-            directions.append(forward)
-            return real(poly, sp, forward)
-
-        monkeypatch.setattr(transfer, "transfer_step", counted)
+        rows = counted_rows(monkeypatch)
         assert solve_by_transfer(classic_species()).success_index == 6
-        assert directions == [True, False] * 5 + [True]
+        # g1, f1, ..., f5, g6: the row after the success is never computed.
+        assert len(rows) == 2 * 6 - 1
+        assert [bool(counts[-1]) for counts, _, _ in rows] == [False] * 10 + [True]
 
     def test_four_four_unsolvable(self):
         out = solve_by_transfer(mc_species(McParams(4, 4, 2, 0)))
         assert not out.solvable
         assert out.states_bound == 13
-        assert out.iterations_run == 14
+        assert out.iterations_run == 4
+
+    @pytest.mark.parametrize("params, stages, bound", [
+        ((4, 4, 2, 0), 4, 13),
+        ((30, 30, 3, 0), 16, 91),
+        ((40, 39, 2, 1), 39, 80),
+        ((18, 18, 3, 0), 10, 55),
+    ])
+    def test_stops_at_support_fixpoint(self, params, stages, bound):
+        out = solve_by_transfer(mc_species(McParams(*params)))
+        assert not out.solvable
+        assert (out.iterations_run, out.states_bound) == (stages, bound)
+
+    def test_verdict_matches_bfs(self):
+        for sp in verdict_puzzles():
+            graph, _ = reference_species_graph(sp)
+            out = solve_by_transfer(sp)
+            assert out.crossings == bfs_distance(graph, 1, graph.n), sp.amounts
+            assert out.solvable == (out.crossings is not None)
+
+    def test_last_two_supports_are_the_reachable_states(self):
+        # Every crossing can be undone, so supports only grow, and at the
+        # fixpoint the last (forward, back) pair covers all that the start reaches.
+        unsolvable = 0
+        for sp in verdict_puzzles():
+            out = solve_by_transfer(sp)
+            if out.solvable:
+                continue
+            unsolvable += 1
+            g, f = transfer_trace(sp, out.iterations_run).steps[-1]
+            supports = {(vec, 0) for vec in g} | {(vec, 1) for vec in f}
+            assert supports == reference_reachable(sp), sp.amounts
+        assert unsolvable == 284
 
     def test_single_pair(self):
         out = solve_by_transfer(mc_species(McParams(1, 1, 2, 0)))

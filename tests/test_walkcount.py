@@ -1,5 +1,7 @@
+import itertools
+
 from rivercross import McParams, mc_graph
-from rivercross.digraph import Digraph, all_shortest_paths, shortest_distance
+from rivercross.digraph import Digraph, all_shortest_paths, shortest_distance, walk_rows
 from rivercross.walkcount import count_shortest_walks
 
 from reference import (
@@ -100,6 +102,63 @@ class TestCountShortestWalks:
         assert k == layers + 1
         assert count == width**layers  # independent product formula for a layered graph
         assert count > 2**64
+
+
+def all_powers_walk_count(g, source, target):
+    """Oracle: the first of the powers 1..n with a nonzero entry, with no early exit."""
+    mat = adjacency_matrix(g)
+    power = mat
+    for k in range(1, g.n + 1):
+        if k > 1:
+            power = mat_mul(power, mat)
+        if power[source - 1][target - 1]:
+            return k, power[source - 1][target - 1]
+    return None
+
+
+class TestClosedWalks:
+    def test_directed_three_cycle(self):
+        g = Digraph.build([[2], [3], [1]])
+        assert count_shortest_walks(g, 1, 1) == (3, 1)
+
+    def test_one_vertex_self_loop(self):
+        g = Digraph.build([[1]])
+        assert count_shortest_walks(g, 1, 1) == (1, 1)
+
+    def test_no_cycle_through_source(self):
+        assert count_shortest_walks(Digraph.build([[2], []]), 1, 1) is None
+        assert count_shortest_walks(Digraph.build([[]]), 1, 1) is None
+
+
+class TestFixpointExit:
+    """The support-fixpoint exit never cuts a search short, on digraphs that are not reversible."""
+
+    def test_matches_all_powers_on_random_digraphs(self):
+        for seed in range(40):
+            n = 4 + seed % 9
+            g = random_digraph(n, (0.08, 0.15, 0.25)[seed % 3], seed=seed)
+            for source in range(1, n + 1):
+                for target in range(1, n + 1):
+                    assert count_shortest_walks(g, source, target) == all_powers_walk_count(
+                        g, source, target), (seed, source, target)
+
+    def test_settled_supports_alternate(self):
+        settled = 0
+        for seed in range(20):
+            g = random_digraph(10, 0.15, seed=seed)
+            rows = walk_rows(g, 1)
+            supports = [{1}]
+            for _, support, done in itertools.islice(rows, 2 ** g.n):  # supports may cycle for ever
+                supports.append(set(support))
+                if done:
+                    break
+            else:
+                continue
+            settled += 1
+            for _ in range(6):
+                supports.append(set(next(rows)[1]))
+                assert supports[-1] == (supports[-3] if supports[-2] else set()), seed
+        assert settled >= 10
 
 
 class TestSymbolic:
