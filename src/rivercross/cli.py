@@ -14,7 +14,8 @@ import sys
 import time
 
 from . import __version__
-from .digraph import PathCount, count_shortest_paths, unrank_shortest_path
+from .digraph import (PathCount, count_shortest_paths, meet_in_the_middle, unrank_shortest_path,
+                      walk_rows)
 from .families import FamilySpec, conjecture_report, family_counts, family_params, format_terms
 from .puzzle import (
     BankState,
@@ -29,7 +30,6 @@ from .puzzle import (
 )
 from .strategies import Strategy, applicability, build_strategy
 from .transfer import format_polynomial, monomial_sort_key, solve_and_trace, solve_by_transfer
-from .walkcount import count_shortest_walks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -237,7 +237,8 @@ def _count_by_method(p: McParams, method: str):
         return None if counted is None else (counted.length, counted.count)
     if method == "matrix":
         graph, _ = mc_graph(p)
-        return count_shortest_walks(graph, 1, graph.n)
+        k, count = meet_in_the_middle(walk_rows(graph, 1), graph.n - 1)
+        return (2 * k - 1, count) if count else None
     outcome = solve_by_transfer(mc_species(p))
     return (outcome.crossings, outcome.count) if outcome.solvable else None
 

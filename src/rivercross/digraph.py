@@ -1,7 +1,7 @@
 """Directed graphs with unit-weight edges.
 
 Vertices are numbered 1..n.  By convention the source of interest is vertex 1
-and the sink is vertex n, but every function takes explicit endpoints.
+and the sink vertex n; each function but `meet_in_the_middle` takes endpoints.
 """
 
 from __future__ import annotations
@@ -201,6 +201,27 @@ def walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], b
                                 and all(map(before.__getitem__, grown)))
         yield nxt, grown, settled
         before, before_support, counts, support = counts, support, nxt, grown
+
+
+def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]],
+                       last: int) -> tuple[int, int]:
+    """Count the shortest 1-to-n walks of a state graph from half the rows of `walk_rows(g, 1)`.
+
+    The graph must come from `puzzle.species_graph`: u -> v is an edge exactly
+    when n+1-v -> n+1-u is one, and every edge flips the boat, so 1-to-n walks
+    have odd length, and A^(2k-1)[1,n] = sum over v of A^(k-1)[1,v] * A^k[1,n+1-v].
+    Returns (k, count) after k rows: count walks of length 2k-1, 0 if none.
+    No walk is decided on a settled row k: later rows alternate between rows
+    k-2 and k-1, which met at row k-1 and, swapped (alike, as the mirror is an
+    involution), at row k.  As a fallback, it is decided once 2k-1 >= `last`.
+    """
+    before, before_support = (0, 1), (1,)  # row 0: the source alone
+    for k, (counts, support, settled) in enumerate(rows, start=1):
+        mirror = len(counts)  # n + 1
+        count = sum(before[v] * counts[mirror - v] for v in before_support)
+        if count or settled or 2 * k - 1 >= last:
+            return k, count
+        before, before_support = counts, support
 
 
 def _closer(g: Digraph, dist: list[int | None], v: int) -> list[int]:

@@ -235,6 +235,8 @@ class ConjectureReport:
 
 def conjecture_report(fs: FamilySpec, max_order: int) -> ConjectureReport:
     """Fit the family's counting sequence, trying later and later starting points."""
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     counts = family_counts(fs)
     numeric = [0 if v is None else v for v in counts]
     rec = None

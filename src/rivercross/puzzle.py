@@ -185,7 +185,9 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     Vertex 1 is the initial state (everyone and the boat on the start bank),
     vertex n the goal (everyone and the boat across); the remaining legal
     states sit between them in lexicographic order, so numbering is
-    reproducible.
+    reproducible.  It is palindromic: vertex n+1-v is the complement of v
+    (banks swapped, boat flipped), every edge flips the boat, and u -> v is an
+    edge exactly when n+1-v -> n+1-u is one.  `meet_in_the_middle` relies on it.
 
     The puzzle is compiled on integer indices.  Vector i of the box, in the
     lexicographic order of `product`, has its far bank at vector N-1-i, so

@@ -7,14 +7,20 @@ monomial with the boat on one side is a state of the puzzle's state graph and
 its successors are what survives one crossing, so the stages are the rows of
 the graph's adjacency powers from the initial state (the transfer-matrix
 method), read from `digraph.walk_rows` on the puzzle's `state_graph`.  The
-first forward stage with a constant term proves the puzzle solvable, and that
-term is the exact number of shortest solutions.
+first forward stage g_i with a constant term proves the puzzle solvable, and
+that term is the exact number of shortest solutions.
+
+The verdict meets the stages in the middle (`digraph.meet_in_the_middle`):
+a solution is a walk from the start met by the mirror image of another, so
+g_i's constant term is the coefficient of x^(amounts) in the product of rows
+i-1 and i of f0, g1, f1, g2, ..., and is read in stage ceil(i/2).
 
 No solution exists once a stage's support is empty or equals the support two
 stages back: each support is the set of successors of the one before, so on
-any state graph the supports then repeat for ever without the goal.  Supports
-could cycle with a longer period, so the iteration also stops, as a fallback,
-one stage past the number of legal states, which no shortest solution outlasts.
+any state graph the supports then repeat for ever, in pairs already met.
+Supports could cycle with a longer period, so the iteration also stops, as a
+fallback, at g_i one stage past the number of legal states, which no shortest
+solution outlasts.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from itertools import tee
 from typing import Iterator
 
-from .digraph import walk_rows
+from .digraph import meet_in_the_middle, walk_rows
 from .puzzle import SpeciesPuzzle, species_state_ok
 
 Exponents = tuple[int, ...]
@@ -34,8 +40,8 @@ Polynomial = dict[Exponents, int]
 class TransferOutcome:
     """The verdict of the transfer iteration.
 
-    `iterations_run` counts the stages computed: through the success, through
-    the support fixpoint, or `states_bound + 1` when the fallback bound ends it.
+    `iterations_run` counts the stages whose rows were computed, through the
+    meeting (3 for the classic g6, met at f3), the fixpoint or the fallback.
     """
 
     solvable: bool
@@ -108,21 +114,18 @@ def _polynomials(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> Iterator[Polynomia
 
 
 def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
-    """Read the rows g1, f1, g2, ... until the goal appears, the supports settle or the bound."""
-    bound, goal = legal_state_bound(sp), sp.state_graph[0].n
-    for i in range(1, bound + 2):
-        counts, _, settled = next(rows)
-        if counts[goal]:
-            return TransferOutcome(solvable=True, crossings=2 * i - 1, count=counts[goal],
-                                   success_index=i, states_bound=bound, iterations_run=i)
-        if settled or next(rows)[2]:
-            break
+    """Read the rows g1, f1, g2, ... until they meet in the middle, settle or pass the bound."""
+    bound = legal_state_bound(sp)
+    k, count = meet_in_the_middle(rows, 2 * bound + 1)
+    if count:
+        return TransferOutcome(solvable=True, crossings=2 * k - 1, count=count, success_index=k,
+                               states_bound=bound, iterations_run=(k + 1) // 2)
     return TransferOutcome(solvable=False, crossings=None, count=None, success_index=None,
-                           states_bound=bound, iterations_run=i)
+                           states_bound=bound, iterations_run=(k + 1) // 2)
 
 
 def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
-    """Run the alternating iteration until the goal appears or the supports settle."""
+    """Run the alternating iteration until its stages meet or their supports settle."""
     return _verdict(sp, walk_rows(sp.state_graph[0], 1))
 
 

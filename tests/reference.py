@@ -2,7 +2,7 @@
 
 Dense adjacency-matrix powers and their symbolic counterpart, which labels
 every edge so each monomial of a matrix entry reconstructs one concrete path,
-plus a seeded random digraph generator, and a species puzzle's states, state
+plus seeded random digraph generators, and a species puzzle's states, state
 graph and transfer stage computed by direct loops over loads and banks.  From
 the package this module takes only data types, never a rule or a kernel, so a
 fault in the package cannot hide behind an oracle that shares it.
@@ -38,6 +38,28 @@ def random_digraph(n: int, edge_probability: float, seed: int) -> Digraph:
         rows.append(tuple(j for j in range(1, n + 1)
                           if j != i and rng.random() < edge_probability))
     return Digraph(tuple(rows))
+
+
+def random_mirrored_digraph(half: int, edge_probability: float, seed: int) -> Digraph:
+    """Random digraph on n = 2*half vertices, mirrored like a puzzle's state graph.
+
+    Each vertex gets a side, with 1 and n apart and v and n+1-v apart.  Each
+    ordered pair (u, v) across the sides is drawn, in row-major order, as an
+    edge with the given probability, and an edge u -> v brings its mirror
+    n+1-v -> n+1-u, so the graph is mirror-closed and bipartite.  No reverse
+    edge is added, so a graph with edges is, with few exceptions, not reversible.
+    """
+    rng = random.Random(seed)
+    n = 2 * half
+    side = [0, 0] + [rng.randrange(2) for _ in range(half - 1)]  # side[v] for v <= half
+    side += [1 - side[n + 1 - v] for v in range(half + 1, n + 1)]
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if side[u] != side[v] and rng.random() < edge_probability:
+                rows[u - 1].add(v)
+                rows[n - v].add(n + 1 - u)
+    return Digraph.build(rows)
 
 
 def adjacency_matrix(g: Digraph) -> list[list[int]]:

@@ -75,6 +75,13 @@ class TestExitCodes:
         assert status == 2
         assert "UNSOLVABLE" in out
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_conjecture_max_order_below_one_is_usage_error(self, capsys, order):
+        for family in (("5", "3", "1", "12"), ("1", "2", "1", "6")):  # the second has no solvable term
+            status, out, err = run(capsys, "conjecture", *family, "--max-order", order)
+            assert (status, out) == (1, "")
+            assert err == "error: max_order must be at least 1\n"
+
 
 class TestGoldenText:
     def test_solve_all(self, capsys):

@@ -167,6 +167,11 @@ class TestConjectureReport:
         assert "no term in range is solvable" in report.render()
         assert report.counts == (None,) * 6
 
+    @pytest.mark.parametrize("max_order", [0, -2])
+    def test_max_order_below_one_raises(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be at least 1"):
+            conjecture_report(FamilySpec(5, 3, 1, 12), max_order)
+
     def test_render_mentions_no_fit(self):
         # order 1 can never follow a Fibonacci tail
         report = conjecture_report(FamilySpec(5, 3, 1, 10), max_order=1)

@@ -27,6 +27,7 @@ from rivercross.walkcount import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_SOLUTIONS
 from reference import reference_species_graph
+from test_transfer import verdict_puzzles
 
 
 def grid_instances(m_max=6, c_max=6, b_max=5, d_max=2):
@@ -413,6 +414,28 @@ class TestCompiledGraph:
         # The oracle comparison means something only if the boat side matters here.
         with_boat, without = three_species(True), three_species(False)
         assert species_graph(with_boat)[1] != species_graph(without)[1]
+
+
+class TestMirror:
+    """The palindromic numbering that `digraph.meet_in_the_middle` relies on."""
+
+    def test_complements_mirror_vertices_and_edges(self):
+        puzzles = list(verdict_puzzles())
+        puzzles += [dataclasses.replace(sp, allow_empty_boat=empty)
+                    for sp in (wolf_goat_cabbage(), boat_side_pairs(),
+                               three_species(False), three_species(True))
+                    for empty in (False, True)]
+        for sp in puzzles:
+            graph, states = species_graph(sp)
+            n = graph.n
+            for v, (vec, flag) in enumerate(states, start=1):
+                complement = tuple(a - e for a, e in zip(sp.amounts, vec))
+                assert states[n - v] == (complement, 1 - flag), (sp.amounts, v)
+            edges = set(graph.edges())
+            for u, v in edges:
+                assert (n + 1 - v, n + 1 - u) in edges, (sp.amounts, u, v)
+                assert states[u - 1][1] != states[v - 1][1], (sp.amounts, u, v)
+        assert len(puzzles) == 936 + 8
 
 
 class TestBridges:

@@ -249,10 +249,11 @@ class TestSolveByTransfer:
 
     def test_no_back_step_after_success(self, monkeypatch):
         rows = counted_rows(monkeypatch)
-        assert solve_by_transfer(classic_species()).success_index == 6
-        # g1, f1, ..., f5, g6: the row after the success is never computed.
-        assert len(rows) == 2 * 6 - 1
-        assert [bool(counts[-1]) for counts, _, _ in rows] == [False] * 10 + [True]
+        out = solve_by_transfer(classic_species())
+        assert (out.success_index, out.iterations_run) == (6, 3)
+        # g1, f1, ..., g3, f3: g6's constant term is met at f3, and no row after it is computed.
+        assert len(rows) == 6
+        assert not any(counts[-1] for counts, _, _ in rows)
 
     def test_four_four_unsolvable(self):
         out = solve_by_transfer(mc_species(McParams(4, 4, 2, 0)))
@@ -271,12 +272,16 @@ class TestSolveByTransfer:
         assert not out.solvable
         assert (out.iterations_run, out.states_bound) == (stages, bound)
 
-    def test_verdict_matches_bfs(self):
+    def test_verdict_matches_bfs(self, monkeypatch):
+        rows = counted_rows(monkeypatch)
         for sp in verdict_puzzles():
             graph, _ = reference_species_graph(sp)
+            rows.clear()
             out = solve_by_transfer(sp)
             assert out.crossings == bfs_distance(graph, 1, graph.n), sp.amounts
             assert out.solvable == (out.crossings is not None)
+            if out.solvable:  # the stages meet after (L+1)/2 rows, and no row after
+                assert len(rows) == (out.crossings + 1) // 2, sp.amounts
 
     def test_last_two_supports_are_the_reachable_states(self):
         # Every crossing can be undone, so supports only grow, and at the

@@ -1,13 +1,20 @@
 import itertools
 
-from rivercross import McParams, mc_graph
-from rivercross.digraph import Digraph, all_shortest_paths, shortest_distance, walk_rows
+from rivercross import McParams, mc_graph, walkcount
+from rivercross.digraph import (
+    Digraph,
+    all_shortest_paths,
+    meet_in_the_middle,
+    shortest_distance,
+    walk_rows,
+)
 from rivercross.walkcount import count_shortest_walks
 
 from reference import (
     adjacency_matrix,
     mat_mul,
     random_digraph,
+    random_mirrored_digraph,
     symbolic_adjacency,
     symbolic_shortest_paths,
 )
@@ -159,6 +166,45 @@ class TestFixpointExit:
                 supports.append(set(next(rows)[1]))
                 assert supports[-1] == (supports[-3] if supports[-2] else set()), seed
         assert settled >= 10
+
+
+class TestMeetInTheMiddle:
+    """Half the rows, met with their mirror images, count what the forward walk counts."""
+
+    def test_matches_all_powers_on_mirrored_digraphs(self):
+        solvable = 0
+        for seed in range(40):
+            g = random_mirrored_digraph(6 + seed % 8, (0.04, 0.07, 0.1)[seed % 3], seed=seed)
+            assert any(u not in g.out(v) for u, v in g.edges()), seed  # not reversible
+            k, count = meet_in_the_middle(walk_rows(g, 1), g.n - 1)
+            assert ((2 * k - 1, count) if count else None) == all_powers_walk_count(g, 1, g.n), seed
+            solvable += count > 0
+        assert 10 <= solvable <= 30
+
+    def test_matches_forward_walk_on_mc_grid(self, monkeypatch):
+        forward = []  # the rows count_shortest_walks computes
+
+        def counted(*args):
+            for row in walk_rows(*args):
+                forward.append(row)
+                yield row
+
+        monkeypatch.setattr(walkcount, "walk_rows", counted)
+        unsolvable = 0
+        for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 6), range(3)):
+            if m - c < d:
+                continue
+            g, _ = mc_graph(McParams(m, c, b, d))
+            forward.clear()
+            expected = count_shortest_walks(g, 1, g.n)
+            k, count = meet_in_the_middle(walk_rows(g, 1), g.n - 1)
+            if expected is None:
+                # An unsolvable instance computes the rows the forward walk computes.
+                assert (count, k) == (0, len(forward)), (m, c, b, d)
+                unsolvable += 1
+            else:
+                assert (2 * k - 1, count) == expected, (m, c, b, d)  # (L+1)/2 rows
+        assert unsolvable == 231
 
 
 class TestSymbolic:
