@@ -10,10 +10,9 @@ constructive strategies with sufficiency conditions.
 from .digraph import (
     Digraph,
     PathCount,
-    PathList,
-    all_shortest_paths,
     count_shortest_paths,
     shortest_distance,
+    shortest_paths,
     unrank_shortest_path,
 )
 from .families import (
@@ -54,7 +53,6 @@ from .transfer import (
     format_polynomial,
     legal_state_bound,
     solve_by_transfer,
-    transfer_step,
     transfer_trace,
 )
 from .walkcount import count_shortest_walks

@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import __version__
-from .digraph import (PathCount, count_shortest_paths, meet_in_the_middle, unrank_shortest_path,
-                      walk_rows)
+from .digraph import (PathCount, count_shortest_paths, meet_in_the_middle, shortest_paths,
+                      unrank_shortest_path, walk_rows)
 from .families import FamilySpec, conjecture_report, family_counts, family_params, format_terms
 from .puzzle import (
     BankState,
@@ -23,7 +23,6 @@ from .puzzle import (
     StatePath,
     mc_graph,
     mc_species,
-    solve_mc,
     spell_out,
     validate_params,
     validate_solution,
@@ -176,34 +175,30 @@ def _counted(p: McParams) -> tuple[PathCount | None, tuple[BankState, ...]]:
     return count_shortest_paths(graph, 1, graph.n), states
 
 
-def _solution(counted: PathCount, states: tuple[BankState, ...], k: int) -> StatePath:
-    """The k-th shortest solution in `solve_mc`'s order, unranked without listing the others."""
-    return tuple(states[v - 1] for v in unrank_shortest_path(counted, k))
+def _solution(states: tuple[BankState, ...], path: tuple[int, ...]) -> StatePath:
+    """The states a vertex path of the state graph visits."""
+    return tuple(states[v - 1] for v in path)
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
     p = _params(args)
-    if args.all:
-        result = solve_mc(p)
-        found = None if result is None else (result[0], len(result[1]), result[1])
-    else:
-        counted, states = _counted(p)
-        found = None if counted is None else (
-            counted.length, counted.count, (_solution(counted, states, 0),))
+    counted, states = _counted(p)
     payload: dict = {"command": "solve", "params": p._asdict()}
-    if found is None:
+    if counted is None:
         payload.update({"solvable": False, "crossings": None, "count": None, "solutions": []})
         payload["text"] = (f"{_params_line(p)}\n"
                            "UNSOLVABLE: the goal is unreachable from the initial state")
         return payload, EXIT_UNSOLVABLE
-    crossings, count, shown = found
+    # Without --all, solution 0 is unranked and no other is listed.
+    paths = shortest_paths(counted) if args.all else [unrank_shortest_path(counted, 0)]
+    shown = [_solution(states, path) for path in paths]
     payload.update({
         "solvable": True,
-        "crossings": crossings,
-        "count": _json_count(count),
+        "crossings": counted.length,
+        "count": _json_count(counted.count),
         "solutions": [[list(s) for s in sol] for sol in shown],
     })
-    lines = [_params_line(p), f"crossings: {crossings}", f"solutions: {count}"]
+    lines = [_params_line(p), f"crossings: {counted.length}", f"solutions: {counted.count}"]
     for k, sol in enumerate(shown, start=1):
         lines.append(f"solution {k}: " + " ".join(f"[{s[0]},{s[1]},{s[2]}]" for s in sol))
     payload["text"] = "\n".join(lines)
@@ -220,7 +215,7 @@ def _cmd_spell(args) -> tuple[dict, int]:
         return payload, EXIT_UNSOLVABLE
     if not 0 <= args.index < counted.count:
         raise ValueError(f"index {args.index} out of range: {counted.count} solutions exist")
-    transcript = spell_out(p, _solution(counted, states, args.index))
+    transcript = spell_out(p, _solution(states, unrank_shortest_path(counted, args.index)))
     payload.update({
         "solvable": True,
         "crossings": counted.length,
@@ -237,7 +232,7 @@ def _count_by_method(p: McParams, method: str):
         return None if counted is None else (counted.length, counted.count)
     if method == "matrix":
         graph, _ = mc_graph(p)
-        k, count = meet_in_the_middle(walk_rows(graph, 1), graph.n - 1)
+        k, count = meet_in_the_middle(walk_rows(graph, 1))
         return (2 * k - 1, count) if count else None
     outcome = solve_by_transfer(mc_species(p))
     return (outcome.crossings, outcome.count) if outcome.solvable else None

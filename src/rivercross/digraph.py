@@ -1,7 +1,8 @@
 """Directed graphs with unit-weight edges.
 
 Vertices are numbered 1..n.  By convention the source of interest is vertex 1
-and the sink vertex n; each function but `meet_in_the_middle` takes endpoints.
+and the sink vertex n, as `meet_in_the_middle` assumes; the other functions
+take their endpoints as arguments or read them off a `PathCount`.
 """
 
 from __future__ import annotations
@@ -45,19 +46,13 @@ class Digraph:
         return Digraph.build(rows)
 
 
-class PathList(NamedTuple):
-    """All shortest source-to-sink paths, each a vertex tuple of the same minimal length."""
-
-    length: int
-    paths: tuple[tuple[int, ...], ...]
-
-
 class PathCount(NamedTuple):
     """The shortest source-to-target paths of a digraph, counted but not listed.
 
     `dist[v]` is the distance from v to the target and `ways[v]` the number of
     shortest v-to-target paths (entry 0 of both is unused padding), so `count`
-    is `ways[source]`.  `unrank_shortest_path` reads the k-th path off them.
+    is `ways[source]`.  `unrank_shortest_path` reads the k-th path off them,
+    and `shortest_paths` lists them all.
     """
 
     graph: Digraph
@@ -102,8 +97,8 @@ def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | No
 
     Vertices are taken in order of increasing distance to the target, and
     `ways[v]` is the sum of `ways[w]` over the out-neighbors w one step closer:
-    one big-integer addition per edge of the same distance-filtered DAG that
-    `all_shortest_paths` walks, and no recursion.
+    one big-integer addition per edge of the distance-filtered DAG that
+    `shortest_paths` walks, and no recursion.
     """
     _check_vertex(g, source)
     dist = distances_to(g, target)
@@ -119,7 +114,7 @@ def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | No
 
 
 def unrank_shortest_path(counted: PathCount, k: int) -> tuple[int, ...]:
-    """The k-th shortest path, counting from 0, in the order `all_shortest_paths` lists them.
+    """The k-th shortest path, counting from 0, in the order `shortest_paths` lists them.
 
     From the source, walk the sorted out-neighbors one step closer to the
     target and subtract their `ways` until k falls inside one of them
@@ -141,37 +136,29 @@ def unrank_shortest_path(counted: PathCount, k: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def all_shortest_paths(g: Digraph, source: int, target: int) -> PathList | None:
-    """Enumerate every simple path of minimal length from source to target.
+def shortest_paths(counted: PathCount) -> Iterator[tuple[int, ...]]:
+    """Every shortest path, one at a time: the k-th is `unrank_shortest_path(counted, k)`.
 
-    Distance labels toward the target are computed first; the search then only
-    follows edges that step exactly one unit closer, so no dead end is ever
-    explored and the work is linear in the size of the output.  The walk keeps
-    an explicit stack, so path length is not bounded by the recursion limit.
-    Paths come out sorted lexicographically by vertex sequence.
+    The walk follows only edges that step exactly one unit closer to the
+    target, so no dead end is ever explored and each path costs its length.
+    It keeps an explicit stack, so path length is not bounded by the
+    recursion limit.  Paths come out sorted lexicographically by vertex sequence.
     """
-    _check_vertex(g, source)
-    dist = distances_to(g, target)
-    length = dist[source]
-    if length is None:
-        return None
-    if source == target:
-        return PathList(0, ((source,),))
-    steps = {v: _closer(g, dist, v) for v, d in enumerate(dist) if d is not None and d <= length}
-    paths: list[tuple[int, ...]] = []
-    path = [source]
-    branches = [iter(steps[source])]  # branches[i]: untried steps from path[i]
+    g, source, target, dist, _ = counted
+    steps = {v: _closer(g, dist, v) for v, d in enumerate(dist)
+             if d is not None and d <= dist[source]}
+    path: list[int] = []
+    branches = [iter((source,))]  # branches[i]: untried steps after path[:i]
     while branches:
         v = next(branches[-1], None)
         if v is None:
             branches.pop()
-            path.pop()
+            del path[-1:]  # and the vertex it stepped from, if any
         elif v == target:
-            paths.append((*path, v))
+            yield (*path, v)
         else:
             path.append(v)
             branches.append(iter(steps[v]))
-    return PathList(length, tuple(paths))
 
 
 def walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], bool]]:
@@ -203,8 +190,7 @@ def walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], b
         before, before_support, counts, support = counts, support, nxt, grown
 
 
-def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]],
-                       last: int) -> tuple[int, int]:
+def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]]) -> tuple[int, int]:
     """Count the shortest 1-to-n walks of a state graph from half the rows of `walk_rows(g, 1)`.
 
     The graph must come from `puzzle.species_graph`: u -> v is an edge exactly
@@ -213,13 +199,14 @@ def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]],
     Returns (k, count) after k rows: count walks of length 2k-1, 0 if none.
     No walk is decided on a settled row k: later rows alternate between rows
     k-2 and k-1, which met at row k-1 and, swapped (alike, as the mirror is an
-    involution), at row k.  As a fallback, it is decided once 2k-1 >= `last`.
+    involution), at row k.  As a fallback, it is decided once 2k-1 >= n-1, as
+    a shortest walk is a simple path.
     """
     before, before_support = (0, 1), (1,)  # row 0: the source alone
     for k, (counts, support, settled) in enumerate(rows, start=1):
         mirror = len(counts)  # n + 1
         count = sum(before[v] * counts[mirror - v] for v in before_support)
-        if count or settled or 2 * k - 1 >= last:
+        if count or settled or 2 * k - 1 >= mirror - 2:
             return k, count
         before, before_support = counts, support
 

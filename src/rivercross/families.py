@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .puzzle import McParams, mc_species
+from .puzzle import McParams, mc_species, validate_params
 from .transfer import solve_by_transfer
 
 
@@ -61,12 +61,9 @@ def family_counts(fs: FamilySpec, start: int = 1) -> list[int | None]:
     Counting goes through the transfer iteration, which stays exact and fast
     as the instances grow.  `start=0` admits the cannibal-free base instance.
     """
-    if fs.surplus < fs.safety_margin:
-        raise ValueError("surplus below the safety margin: every instance starts illegal")
     if fs.num_terms < 1:
         raise ValueError("need at least one term")
-    if fs.boat_capacity < 2:
-        raise ValueError("boat must hold at least 2")
+    validate_params(family_params(fs, max(start, 1)))
     out: list[int | None] = []
     for i in range(start, start + fs.num_terms):
         outcome = solve_by_transfer(mc_species(family_params(fs, i)))

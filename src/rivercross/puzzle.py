@@ -16,7 +16,7 @@ from itertools import compress, product
 from operator import add, mul
 from typing import Callable, NamedTuple
 
-from .digraph import Digraph, all_shortest_paths
+from .digraph import Digraph, count_shortest_paths, shortest_paths
 
 
 class McParams(NamedTuple):
@@ -255,13 +255,14 @@ def solve_mc(p: McParams) -> tuple[int, tuple[StatePath, ...]] | None:
 
 
 def _shortest_solutions(graph: Digraph, states: tuple) -> tuple[int, tuple[tuple, ...]] | None:
-    found = all_shortest_paths(graph, 1, graph.n)
-    if found is None:
+    counted = count_shortest_paths(graph, 1, graph.n)
+    if counted is None:
         return None
     # Paths come out in lexicographic vertex order, and the vertices between the
     # initial state (1) and the goal (n) are numbered in state order, so the
     # decoded state sequences are already sorted.
-    return found.length, tuple(tuple(states[v - 1] for v in path) for path in found.paths)
+    paths = shortest_paths(counted)
+    return counted.length, tuple(tuple(states[v - 1] for v in path) for path in paths)
 
 
 # ---------------------------------------------------------------------------

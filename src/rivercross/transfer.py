@@ -19,8 +19,8 @@ No solution exists once a stage's support is empty or equals the support two
 stages back: each support is the set of successors of the one before, so on
 any state graph the supports then repeat for ever, in pairs already met.
 Supports could cycle with a longer period, so the iteration also stops, as a
-fallback, at g_i one stage past the number of legal states, which no shortest
-solution outlasts.
+fallback, once it has covered every solution of up to n - 1 crossings, n the
+number of states: a shortest solution visits no state twice.
 """
 
 from __future__ import annotations
@@ -73,31 +73,8 @@ def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynom
     return out
 
 
-def transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) -> Polynomial:
-    """One crossing: add each monomial's coefficient to each of its legal successors.
-
-    A forward crossing leaves from the state whose start bank holds the
-    monomial's populations and the boat; a return crossing leaves with the
-    boat on the far bank.  The successors are that state's out-neighbours in
-    the puzzle's `state_graph`; sums of zero are dropped.  Raises ValueError
-    for a monomial that is no legal state there.
-    """
-    graph, states = sp.state_graph
-    vertex = {state: v for v, state in enumerate(states, start=1)}
-    acc: Polynomial = {}
-    for mono, coeff in poly.items():
-        v = vertex.get((mono, int(forward)))
-        if v is None:
-            side = "start" if forward else "far"
-            raise ValueError(f"monomial {mono} is no legal state with the boat on the {side} bank")
-        for w in graph.out(v):
-            succ = states[w - 1][0]
-            acc[succ] = acc.get(succ, 0) + coeff
-    return {mono: coeff for mono, coeff in acc.items() if coeff}
-
-
 def legal_state_bound(sp: SpeciesPuzzle) -> int:
-    """Number of legal states, which bounds the transfer iteration.
+    """Number of legal states; `trace` prints an unsolvable instance's stages one past it.
 
     For puzzles whose bank rule ignores the boat this is the number of legal
     population vectors; otherwise each (vector, boat side) pair counts.
@@ -114,9 +91,9 @@ def _polynomials(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> Iterator[Polynomia
 
 
 def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
-    """Read the rows g1, f1, g2, ... until they meet in the middle, settle or pass the bound."""
+    """Read the rows g1, f1, g2, ... until they meet in the middle, settle or cover n - 1."""
     bound = legal_state_bound(sp)
-    k, count = meet_in_the_middle(rows, 2 * bound + 1)
+    k, count = meet_in_the_middle(rows)
     if count:
         return TransferOutcome(solvable=True, crossings=2 * k - 1, count=count, success_index=k,
                                states_bound=bound, iterations_run=(k + 1) // 2)

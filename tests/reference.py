@@ -12,7 +12,7 @@ import random
 from collections import deque
 from itertools import product
 
-from rivercross.digraph import Digraph, PathList
+from rivercross.digraph import Digraph
 from rivercross.puzzle import SpeciesPuzzle
 from rivercross.transfer import Polynomial
 
@@ -98,8 +98,9 @@ def symbolic_adjacency(g: Digraph) -> list[list[SymEntry]]:
     return mat
 
 
-def symbolic_shortest_paths(g: Digraph, source: int, target: int) -> PathList | None:
-    """Reconstruct all shortest paths from the symbolic matrix power.
+def symbolic_shortest_paths(
+        g: Digraph, source: int, target: int) -> tuple[int, list[tuple[int, ...]]] | None:
+    """Reconstruct all shortest paths, as (length, sorted paths), from the symbolic matrix power.
 
     The power k comes from the numeric count; the source row of the symbolic
     matrix is then raised to the same power.  Every monomial of the target
@@ -126,7 +127,7 @@ def symbolic_shortest_paths(g: Digraph, source: int, target: int) -> PathList | 
         row = nxt
     entry = row[target - 1]
     paths = sorted(_chain(mono, source, target, k) for mono in entry)
-    return PathList(k, tuple(paths))
+    return k, paths
 
 
 def _chain(mono: Monomial, source: int, target: int, length: int) -> tuple[int, ...]:

@@ -82,6 +82,13 @@ class TestExitCodes:
             assert (status, out) == (1, "")
             assert err == "error: max_order must be at least 1\n"
 
+    @pytest.mark.parametrize("command", ["sequence", "conjecture"])
+    def test_family_rejects_what_count_rejects(self, capsys, command):
+        # Term 1 of surplus -1 is the instance (0, 1, 2, -3), which has no missionary.
+        message = "error: need at least 1 missionary, got 0\n"
+        assert run(capsys, "count", "0", "1", "2", "-3") == (1, "", message)
+        assert run(capsys, command, "-1", "2", "-3", "4") == (1, "", message)
+
 
 class TestGoldenText:
     def test_solve_all(self, capsys):

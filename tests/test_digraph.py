@@ -1,13 +1,13 @@
-import pytest
-
+import itertools
 import sys
+
+import pytest
 
 from rivercross.digraph import (
     Digraph,
-    PathList,
-    all_shortest_paths,
     count_shortest_paths,
     shortest_distance,
+    shortest_paths,
     unrank_shortest_path,
 )
 
@@ -19,6 +19,12 @@ def g_from_edges(n, edges):
     for i, j in edges:
         rows[i - 1].append(j)
     return Digraph.build(rows)
+
+
+def listed(g, source, target):
+    """(length, paths) listed off the counted distance DAG, or None if the target is unreachable."""
+    counted = count_shortest_paths(g, source, target)
+    return None if counted is None else (counted.length, list(shortest_paths(counted)))
 
 
 class TestBuild:
@@ -57,31 +63,40 @@ class TestShortestDistance:
 class TestAllShortestPaths:
     def test_single_edge(self):
         g = g_from_edges(2, [(1, 2)])
-        assert all_shortest_paths(g, 1, 2) == PathList(1, ((1, 2),))
+        assert listed(g, 1, 2) == (1, [(1, 2)])
 
     def test_unreachable_is_none(self):
         g = g_from_edges(3, [(3, 2)])
-        assert all_shortest_paths(g, 1, 3) is None
+        assert listed(g, 1, 3) is None
 
     def test_diamond_counts_both_routes(self):
         g = g_from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-        found = all_shortest_paths(g, 1, 4)
-        assert found == PathList(2, ((1, 2, 4), (1, 3, 4)))
+        assert listed(g, 1, 4) == (2, [(1, 2, 4), (1, 3, 4)])
 
     def test_longer_route_excluded(self):
         g = g_from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
-        found = all_shortest_paths(g, 1, 4)
-        assert found.paths == ((1, 3, 4),)
+        assert listed(g, 1, 4) == (2, [(1, 3, 4)])
 
     def test_paths_sorted_and_simple(self):
         g = random_digraph(15, 0.3, seed=3)
-        found = all_shortest_paths(g, 1, 15)
+        found = listed(g, 1, 15)
         if found is None:
             pytest.skip("seed gave an unreachable sink")
-        assert list(found.paths) == sorted(found.paths)
-        for path in found.paths:
+        length, paths = found
+        assert paths == sorted(paths)
+        for path in paths:
             assert len(set(path)) == len(path)
-            assert len(path) - 1 == found.length
+            assert len(path) - 1 == length
+
+    def test_lists_lazily(self):
+        # 2**500 paths: only those asked for are built, each in rank order.
+        k = 500
+        g = diamond_chain(k)
+        counted = count_shortest_paths(g, 1, g.n)
+        first = tuple(v for i in range(k) for v in (3 * i + 1, 3 * i + 2)) + (3 * k + 1,)
+        head = list(itertools.islice(shortest_paths(counted), 3))
+        assert head[0] == first
+        assert head == [unrank_shortest_path(counted, rank) for rank in range(3)]
 
 
 class TestRandomDigraph:
@@ -125,22 +140,21 @@ def test_enumeration_matches_brute_force_on_small_graphs():
     for seed in range(12):
         g = random_digraph(8, 0.3, seed=seed)
         expected = brute_force_shortest_paths(g, 1, 8)
-        found = all_shortest_paths(g, 1, 8)
+        found = listed(g, 1, 8)
         if expected is None:
             assert found is None
         else:
-            assert list(found.paths) == expected
-            assert found.length == len(expected[0]) - 1
+            assert found == (len(expected[0]) - 1, expected)
 
 
 def test_enumeration_on_every_three_vertex_graph():
     for g in every_three_vertex_graph():
         expected = brute_force_shortest_paths(g, 1, 3)
-        found = all_shortest_paths(g, 1, 3)
+        found = listed(g, 1, 3)
         if expected is None:
             assert found is None
         else:
-            assert list(found.paths) == expected
+            assert found[1] == expected
 
 
 def every_three_vertex_graph():
@@ -166,21 +180,21 @@ class TestCountAndUnrank:
         graphs = [random_digraph(8, 0.3, seed=seed) for seed in range(12)]
         graphs += [random_digraph(15, 0.3, seed=3), *every_three_vertex_graph()]
         for g in graphs:
-            found = all_shortest_paths(g, 1, g.n)
+            expected = brute_force_shortest_paths(g, 1, g.n)
             counted = count_shortest_paths(g, 1, g.n)
-            if found is None:
+            if expected is None:
                 assert counted is None
                 continue
-            assert (counted.length, counted.count) == (found.length, len(found.paths))
+            assert (counted.length, counted.count) == (len(expected[0]) - 1, len(expected))
             ranked = [unrank_shortest_path(counted, k) for k in range(counted.count)]
-            assert ranked == list(found.paths)
+            assert ranked == list(shortest_paths(counted)) == expected
 
     def test_source_is_target(self):
         g = g_from_edges(3, [(1, 2), (2, 1)])
         counted = count_shortest_paths(g, 2, 2)
         assert (counted.length, counted.count) == (0, 1)
         assert unrank_shortest_path(counted, 0) == (2,)
-        assert all_shortest_paths(g, 2, 2) == PathList(0, ((2,),))
+        assert list(shortest_paths(counted)) == [(2,)]
 
     @pytest.mark.parametrize("k", [-1, 2])
     def test_rank_out_of_range(self, k):
@@ -205,7 +219,7 @@ def test_long_chain_within_the_recursion_limit():
     assert n > sys.getrecursionlimit()
     g = Digraph.build([[v + 1] if v < n else [] for v in range(1, n + 1)])
     chain = tuple(range(1, n + 1))
-    assert all_shortest_paths(g, 1, n) == PathList(n - 1, (chain,))
     counted = count_shortest_paths(g, 1, n)
     assert (counted.length, counted.count) == (n - 1, 1)
+    assert list(shortest_paths(counted)) == [chain]
     assert unrank_shortest_path(counted, 0) == chain

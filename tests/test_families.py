@@ -5,6 +5,7 @@ import pytest
 from rivercross import (
     FamilySpec,
     McParams,
+    ParamError,
     conjecture_report,
     family_counts,
     fit_linear_recurrence,
@@ -38,6 +39,13 @@ class TestFamilyCounts:
     def test_surplus_below_margin_rejected(self):
         with pytest.raises(ValueError):
             family_counts(FamilySpec(0, 3, 1, 4))
+
+    def test_negative_surplus_rejected_at_its_first_term(self):
+        # Term 1 is (0, 1, 2, -3): no missionary, though the surplus -1 clears the margin -3.
+        with pytest.raises(ParamError, match="need at least 1 missionary, got 0"):
+            family_counts(FamilySpec(-1, 2, -3, 4))
+        with pytest.raises(ParamError, match="need at least 1 missionary, got 0"):
+            conjecture_report(FamilySpec(-1, 2, -3, 12), 4)
 
     def test_start_zero_prepends_cannibal_free_instance(self):
         counts = family_counts(FamilySpec(9, 2, 0, 2), start=0)

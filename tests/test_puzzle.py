@@ -267,7 +267,7 @@ class TestSolveMc:
                 assert [mv.forward for mv in moves] == [i % 2 == 0 for i in range(len(moves))]
 
     def test_enumeration_sorted_and_matched_by_dag(self):
-        # all_shortest_paths yields paths in vertex order and vertices are
+        # shortest_paths yields paths in vertex order and vertices are
         # numbered in state order, so the solver needs no sort; the order of
         # CLASSIC_SOLUTIONS and of the goldens rests on this.  The count on the
         # distance DAG equals the enumeration's length, the walk count and the

@@ -3,7 +3,6 @@ import itertools
 from rivercross import McParams, mc_graph, walkcount
 from rivercross.digraph import (
     Digraph,
-    all_shortest_paths,
     meet_in_the_middle,
     shortest_distance,
     walk_rows,
@@ -18,6 +17,7 @@ from reference import (
     symbolic_adjacency,
     symbolic_shortest_paths,
 )
+from test_digraph import listed
 
 
 def recursive_walk_count(g, u, target, k):
@@ -88,12 +88,12 @@ class TestCountShortestWalks:
     def test_count_matches_enumeration(self):
         for seed in (1, 7, 42, 99, 123):
             g = random_digraph(30, 0.2, seed=seed)
-            found = all_shortest_paths(g, 1, 30)
+            found = listed(g, 1, 30)
             got = count_shortest_walks(g, 1, 30)
             if found is None:
                 assert got is None
             else:
-                assert got == (found.length, len(found.paths))
+                assert got == (found[0], len(found[1]))
 
     def test_exact_beyond_64_bits(self):
         width, layers = 8, 22
@@ -176,7 +176,7 @@ class TestMeetInTheMiddle:
         for seed in range(40):
             g = random_mirrored_digraph(6 + seed % 8, (0.04, 0.07, 0.1)[seed % 3], seed=seed)
             assert any(u not in g.out(v) for u, v in g.edges()), seed  # not reversible
-            k, count = meet_in_the_middle(walk_rows(g, 1), g.n - 1)
+            k, count = meet_in_the_middle(walk_rows(g, 1))
             assert ((2 * k - 1, count) if count else None) == all_powers_walk_count(g, 1, g.n), seed
             solvable += count > 0
         assert 10 <= solvable <= 30
@@ -197,7 +197,7 @@ class TestMeetInTheMiddle:
             g, _ = mc_graph(McParams(m, c, b, d))
             forward.clear()
             expected = count_shortest_walks(g, 1, g.n)
-            k, count = meet_in_the_middle(walk_rows(g, 1), g.n - 1)
+            k, count = meet_in_the_middle(walk_rows(g, 1))
             if expected is None:
                 # An unsolvable instance computes the rows the forward walk computes.
                 assert (count, k) == (0, len(forward)), (m, c, b, d)
@@ -212,18 +212,18 @@ class TestSymbolic:
         g = Digraph.build([[2], []])
         mat = symbolic_adjacency(g)
         assert mat[0][1] == {((1, 2),): 1}
-        assert symbolic_shortest_paths(g, 1, 2).paths == ((1, 2),)
+        assert symbolic_shortest_paths(g, 1, 2) == (1, [(1, 2)])
 
     def test_classic_reconstruction(self):
         g, _ = mc_graph(McParams(3, 3, 2, 0))
         sym = symbolic_shortest_paths(g, 1, g.n)
-        assert sym == all_shortest_paths(g, 1, g.n)
-        assert sym.length == 11 and len(sym.paths) == 4
+        assert sym == listed(g, 1, g.n)
+        assert sym[0] == 11 and len(sym[1]) == 4
 
     def test_matches_enumeration_on_random_graphs(self):
         for seed in range(8):
             g = random_digraph(12, 0.3, seed=seed)
-            assert symbolic_shortest_paths(g, 1, 12) == all_shortest_paths(g, 1, 12)
+            assert symbolic_shortest_paths(g, 1, 12) == listed(g, 1, 12)
 
     def test_unreachable_is_none(self):
         g = Digraph.build([[], [1]])
