@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .puzzle import McParams, mc_species, validate_params
-from .transfer import solve_by_transfer
+from .transfer import format_signed_sum, solve_by_transfer
 
 
 class FamilySpec(NamedTuple):
@@ -160,18 +160,11 @@ def rational_gf(rec: LinearRecurrence, head: Sequence[int]) -> RationalGF:
         numer.append(r)
     while len(numer) > 1 and numer[-1] == 0:
         numer.pop()
-    scale = 1
-    for v in numer + denom:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    num_i = [int(v * scale) for v in numer]
-    den_i = [int(v * scale) for v in denom]
-    shrink = 0
-    for v in num_i + den_i:
-        shrink = gcd(shrink, v)
-    if shrink > 1:
-        num_i = [v // shrink for v in num_i]
-        den_i = [v // shrink for v in den_i]
-    return RationalGF(tuple(num_i), tuple(den_i))
+    # The scaled constant denominator term is positive, so the gcd is never 0.
+    scale = lcm(*(v.denominator for v in numer + denom))
+    num_i, den_i = [int(v * scale) for v in numer], [int(v * scale) for v in denom]
+    shrink = gcd(*num_i, *den_i)
+    return RationalGF(tuple(v // shrink for v in num_i), tuple(v // shrink for v in den_i))
 
 
 def series_coefficients(gf: RationalGF, count: int):
@@ -260,31 +253,9 @@ def format_terms(counts: Sequence[int | None]) -> str:
 
 
 def format_recurrence(rec: LinearRecurrence) -> str:
-    parts = []
-    for j, c in enumerate(rec.coefficients, start=1):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = f"a(i-{j})" if mag == 1 else f"{mag}*a(i-{j})"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+    return format_signed_sum([(c, f"a(i-{j})") for j, c in enumerate(rec.coefficients, start=1)])
 
 
 def format_series_poly(coeffs: Sequence[int]) -> str:
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            x = "x" if e == 1 else f"x^{e}"
-            body = x if abs(c) == 1 else f"{abs(c)}*{x}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return format_signed_sum([(c, "" if e == 0 else "x" if e == 1 else f"x^{e}")
+                              for e, c in enumerate(coeffs)])

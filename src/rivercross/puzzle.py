@@ -349,7 +349,8 @@ def spell_out(p: McParams, path: StatePath) -> str:
     for i, (a, b) in enumerate(zip(path, path[1:])):
         if b.boat != 1 - a.boat:
             raise ValueError(f"index {i}: the boat does not cross from {tuple(a)} to {tuple(b)}")
-    violation = validate_solution(p, path_to_moves(path))
+    moves = path_to_moves(path)
+    violation = validate_solution(p, moves)
     if violation is not None:
         raise ValueError(f"index {violation.index}: {violation.message}")
     seen = set()
@@ -358,7 +359,7 @@ def spell_out(p: McParams, path: StatePath) -> str:
             raise ValueError(f"index {i}: state {tuple(state)} repeats")
         seen.add(state)
     lines = []
-    for i, move in enumerate(path_to_moves(path), start=1):
+    for i, move in enumerate(moves, start=1):
         after = path[i]
         total = move.missionaries + move.cannibals
         verb = "crosses" if total == 1 else "cross"

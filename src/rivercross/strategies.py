@@ -28,32 +28,14 @@ def applicability(p: McParams) -> set[Strategy]:
     """The strategies whose sufficiency condition holds for p."""
     validate_params(p)
     m, c, b, d = p
-    found = set()
-    if m - c >= 2 * d + 3:
-        found.add(Strategy.TWO_BOAT)
-    if b >= c + d + 1:
-        found.add(Strategy.BIG_BOAT_1)
-    if b >= m and c >= 2:
-        found.add(Strategy.BIG_BOAT_2)
-    if m - c >= 2 * d + 1 and b > (c + 1) // 2 + d + 1:
-        found.add(Strategy.SPLIT_CANNIBALS)
-    # The ferry cycle returns d people, so it degenerates at d = 0 (an empty
-    # boat may not cross); the margin must be positive for the recipe to exist.
-    if d >= 1 and m - c >= 3 * d and b >= d + 2:
-        found.add(Strategy.SIMULTANEOUS_FERRY)
-    if d == 0 and m > c:
-        found.add(Strategy.ZERO_MARGIN_SLACK)
-    # The equal-population recipe ships pairs, so it needs at least 2 of each.
-    if d == 0 and m == c and b >= 4 and m >= 2:
-        found.add(Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT)
-    return found
+    return {s for s, (holds, _) in _RECIPES.items() if holds(m, c, b, d)}
 
 
 def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
     """Emit the move script for one strategy, or None when its condition fails."""
-    if strategy not in applicability(p):
-        return None
-    return _BUILDERS[strategy](p)
+    validate_params(p)
+    holds, build = _RECIPES[strategy]
+    return build(p) if holds(*p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +193,19 @@ def _zero_margin_equal_big_boat(p: McParams) -> tuple[Move, ...]:
     return s.done()
 
 
-_BUILDERS = {
-    Strategy.TWO_BOAT: _two_boat,
-    Strategy.BIG_BOAT_1: _big_boat_1,
-    Strategy.BIG_BOAT_2: _big_boat_2,
-    Strategy.SPLIT_CANNIBALS: _split_cannibals,
-    Strategy.SIMULTANEOUS_FERRY: _simultaneous_ferry,
-    Strategy.ZERO_MARGIN_SLACK: _zero_margin_slack,
-    Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT: _zero_margin_equal_big_boat,
+# Each strategy's sufficiency condition on (m, c, b, d), beside its recipe.
+_RECIPES = {
+    Strategy.TWO_BOAT: (lambda m, c, b, d: m - c >= 2 * d + 3, _two_boat),
+    Strategy.BIG_BOAT_1: (lambda m, c, b, d: b >= c + d + 1, _big_boat_1),
+    Strategy.BIG_BOAT_2: (lambda m, c, b, d: b >= m and c >= 2, _big_boat_2),
+    Strategy.SPLIT_CANNIBALS: (
+        lambda m, c, b, d: m - c >= 2 * d + 1 and b > (c + 1) // 2 + d + 1, _split_cannibals),
+    # The ferry cycle returns d people, so it degenerates at d = 0 (an empty
+    # boat may not cross); the margin must be positive for the recipe to exist.
+    Strategy.SIMULTANEOUS_FERRY: (
+        lambda m, c, b, d: d >= 1 and m - c >= 3 * d and b >= d + 2, _simultaneous_ferry),
+    Strategy.ZERO_MARGIN_SLACK: (lambda m, c, b, d: d == 0 and m > c, _zero_margin_slack),
+    # The equal-population recipe ships pairs, so it needs at least 2 of each.
+    Strategy.ZERO_MARGIN_EQUAL_BIG_BOAT: (
+        lambda m, c, b, d: d == 0 and m == c and b >= 4 and m >= 2, _zero_margin_equal_big_boat),
 }

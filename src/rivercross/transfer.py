@@ -26,6 +26,7 @@ number of states: a shortest solution visits no state twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import tee
 from typing import Iterator
 
@@ -129,29 +130,29 @@ def monomial_sort_key(mono: Exponents) -> tuple:
     return (-sum(mono), tuple(-e for e in mono))
 
 
-def format_polynomial(poly: Polynomial, variables: tuple[str, ...] | None = None) -> str:
+def format_polynomial(poly: Polynomial) -> str:
     """Render a polynomial deterministically, highest-degree monomials first."""
-    if not poly:
-        return "0"
-    k = len(next(iter(poly)))
-    names = variables if variables is not None else tuple(f"x{i + 1}" for i in range(k))
+    return format_signed_sum([
+        (poly[mono], "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
+                               for i, e in enumerate(mono, 1) if e]))
+        for mono in sorted(poly, key=monomial_sort_key)
+    ])
+
+
+def format_signed_sum(terms: list[tuple[int | Fraction, str]]) -> str:
+    """Render (coefficient, body) pairs as a signed sum; an empty body is a constant.
+
+    Zero terms are dropped and unit coefficients left out.  The first term takes
+    a bare minus, later ones "+ " or "- ", and a sum with no terms reads "0".
+    """
     parts = []
-    for mono in sorted(poly, key=monomial_sort_key):
-        coeff = poly[mono]
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            term = str(abs(coeff))
-        elif abs(coeff) == 1:
-            term = "*".join(factors)
-        else:
-            term = "*".join([str(abs(coeff))] + factors)
-        if not parts:
-            parts.append(term if coeff > 0 else f"-{term}")
-        else:
+    for coeff, body in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        term = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if parts:
             parts.append(f"+ {term}" if coeff > 0 else f"- {term}")
-    return " ".join(parts)
+        else:
+            parts.append(term if coeff > 0 else f"-{term}")
+    return " ".join(parts) or "0"

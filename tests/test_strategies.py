@@ -9,6 +9,7 @@ from rivercross import (
     mc_graph,
     path_to_moves,
     solve_mc,
+    strategies,
 )
 from rivercross.digraph import shortest_distance
 from rivercross.strategies import (
@@ -108,6 +109,29 @@ class TestBuildStrategy:
                 continue
             if applicability(p):
                 assert solve_mc(p) is not None, p
+
+
+def test_build_strategy_checks_only_its_own_condition(monkeypatch):
+    grid = itertools.product(range(9), range(9), range(2, 7), range(3))
+    applicable = {}
+    for p in map(McParams._make, grid):
+        try:
+            applicable[p] = applicability(p)
+        except ParamError:
+            applicable[p] = None
+
+    def refuse(p):
+        raise AssertionError("build_strategy consulted applicability")
+
+    monkeypatch.setattr(strategies, "applicability", refuse)
+    assert any(found is None for found in applicable.values())
+    for p, found in applicable.items():
+        for s in Strategy:
+            if found is None:
+                with pytest.raises(ParamError):
+                    build_strategy(p, s)
+            else:
+                assert (build_strategy(p, s) is not None) == (s in found), (p, s)
 
 
 class TestValidateSolution:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from rivercross.puzzle import species_loads
 from rivercross.transfer import (
     cleanup,
     format_polynomial,
+    format_signed_sum,
     legal_state_bound,
     solve_by_transfer,
     transfer_trace,
@@ -329,3 +331,16 @@ class TestFormatting:
 
     def test_zero_polynomial(self):
         assert format_polynomial({}) == "0"
+
+    def test_zero_coefficients_dropped(self):
+        assert format_polynomial({(1, 0): 0, (0, 0): 4}) == "4"
+        assert format_polynomial({(0, 0): 0}) == "0"
+
+    @pytest.mark.parametrize("terms, text", [
+        ([(Fraction(3, 2), "a(i-1)"), (-1, "a(i-2)")], "3/2*a(i-1) - a(i-2)"),
+        ([(2, "x"), (-7, ""), (1, "")], "2*x - 7 + 1"),
+        ([(-1, "x"), (-3, "x^2"), (5, "")], "-x - 3*x^2 + 5"),
+        ([(0, "x"), (0, ""), (Fraction(0), "y")], "0"),
+    ])
+    def test_format_signed_sum(self, terms, text):
+        assert format_signed_sum(terms) == text
