@@ -14,8 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .digraph import (PathCount, count_shortest_paths, meet_in_the_middle, shortest_paths,
-                      unrank_shortest_path, walk_rows)
+from .digraph import PathCount, count_shortest_paths, shortest_paths, unrank_shortest_path
 from .families import FamilySpec, conjecture_report, family_counts, family_params, format_terms
 from .puzzle import (
     BankState,
@@ -230,10 +229,7 @@ def _count_by_method(p: McParams, method: str):
     if method == "graph":
         counted, _ = _counted(p)
         return None if counted is None else (counted.length, counted.count)
-    if method == "matrix":
-        graph, _ = mc_graph(p)
-        k, count = meet_in_the_middle(walk_rows(graph, 1))
-        return (2 * k - 1, count) if count else None
+    # The matrix walk and the transfer are one meeting in the middle on one compile.
     outcome = solve_by_transfer(mc_species(p))
     return (outcome.crossings, outcome.count) if outcome.solvable else None
 

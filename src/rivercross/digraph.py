@@ -1,8 +1,10 @@
-"""Directed graphs with unit-weight edges.
+"""Directed graphs with unit-weight edges, and the DAG of their shortest paths.
 
 Vertices are numbered 1..n.  By convention the source of interest is vertex 1
 and the sink vertex n, as `meet_in_the_middle` assumes; the other functions
-take their endpoints as arguments or read them off a `PathCount`.
+take their endpoints as arguments or read them off a `PathCount`, the
+shortest-path DAG that `count_shortest_paths` builds once and that
+`unrank_shortest_path` and `shortest_paths` read.
 """
 
 from __future__ import annotations
@@ -39,31 +41,23 @@ class Digraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(1, self.n + 1) for j in self.out(i)]
 
-    def reversed(self) -> "Digraph":
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges():
-            rows[j - 1].append(i)
-        return Digraph.build(rows)
-
 
 class PathCount(NamedTuple):
-    """The shortest source-to-target paths of a digraph, counted but not listed.
+    """The DAG of shortest source-to-target paths of a digraph, counted but not listed.
 
-    `dist[v]` is the distance from v to the target and `ways[v]` the number of
-    shortest v-to-target paths (entry 0 of both is unused padding), so `count`
-    is `ways[source]`.  `unrank_shortest_path` reads the k-th path off them,
+    `steps[v]` holds the out-neighbors of v one step closer to the target, in
+    `g.out` order, for every v at distance 1..`length` from it (and is empty
+    elsewhere); these are the DAG's edges.  `ways[v]` is the number of
+    shortest v-to-target paths, so `count` is `ways[source]`.  Entry 0 of both
+    is unused padding.  `unrank_shortest_path` reads the k-th path off them,
     and `shortest_paths` lists them all.
     """
 
-    graph: Digraph
     source: int
     target: int
-    dist: list[int | None]
+    length: int
+    steps: list[tuple[int, ...]]
     ways: list[int]
-
-    @property
-    def length(self) -> int:
-        return self.dist[self.source]  # type: ignore[return-value]
 
     @property
     def count(self) -> int:
@@ -79,13 +73,16 @@ def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
 def distances_to(g: Digraph, target: int) -> list[int | None]:
     """Distance from every vertex to the target; entry 0 is unused padding."""
     _check_vertex(g, target)
-    rev = g.reversed()
+    into: list[list[int]] = [[] for _ in range(g.n + 1)]  # into[w]: the v with an edge v -> w
+    for v, row in enumerate(g.neighbors, start=1):
+        for w in row:
+            into[w].append(v)
     dist: list[int | None] = [None] * (g.n + 1)
     dist[target] = 0
     queue = deque([target])
     while queue:
         u = queue.popleft()
-        for v in rev.out(u):
+        for v in into[u]:
             if dist[v] is None:
                 dist[v] = dist[u] + 1  # type: ignore[operator]
                 queue.append(v)
@@ -93,41 +90,44 @@ def distances_to(g: Digraph, target: int) -> list[int | None]:
 
 
 def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
-    """Count the shortest source-to-target paths without listing them, or None if unreachable.
+    """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
 
-    Vertices are taken in order of increasing distance to the target, and
-    `ways[v]` is the sum of `ways[w]` over the out-neighbors w one step closer:
-    one big-integer addition per edge of the distance-filtered DAG that
-    `shortest_paths` walks, and no recursion.
+    Vertices are taken in order of increasing distance to the target.  Each
+    one's steps, the out-neighbors w one step closer, are found once, and
+    `ways[v]` is the sum of their `ways[w]`: one big-integer addition per edge
+    of the DAG, and no recursion.
     """
     _check_vertex(g, source)
     dist = distances_to(g, target)
     length = dist[source]
     if length is None:
         return None
+    steps: list[tuple[int, ...]] = [()] * (g.n + 1)
     ways = [0] * (g.n + 1)
     ways[target] = 1
     nearer = [v for v, d in enumerate(dist) if d is not None and 0 < d <= length]
     for v in sorted(nearer, key=dist.__getitem__):
-        ways[v] = sum(ways[w] for w in _closer(g, dist, v))
-    return PathCount(g, source, target, dist, ways)
+        closer = dist[v] - 1  # type: ignore[operator]
+        steps[v] = tuple([w for w in g.out(v) if dist[w] == closer])
+        ways[v] = sum(map(ways.__getitem__, steps[v]))
+    return PathCount(source, target, length, steps, ways)
 
 
 def unrank_shortest_path(counted: PathCount, k: int) -> tuple[int, ...]:
     """The k-th shortest path, counting from 0, in the order `shortest_paths` lists them.
 
-    From the source, walk the sorted out-neighbors one step closer to the
-    target and subtract their `ways` until k falls inside one of them
-    (Kreher and Stinson, Combinatorial Algorithms, 1999, ch. 2-3).
+    From the source, walk the steps of the DAG in order and subtract their
+    `ways` until k falls inside one of them (Kreher and Stinson,
+    Combinatorial Algorithms, 1999, ch. 2-3).
     Raises IndexError unless 0 <= k < counted.count.
     """
     if not 0 <= k < counted.count:
         raise IndexError(f"rank {k} outside 0..{counted.count - 1}")
-    g, source, target, dist, ways = counted
+    source, target, _, steps, ways = counted
     v = source
     path = [v]
     while v != target:
-        for w in _closer(g, dist, v):
+        for w in steps[v]:
             if k < ways[w]:
                 break
             k -= ways[w]
@@ -139,14 +139,12 @@ def unrank_shortest_path(counted: PathCount, k: int) -> tuple[int, ...]:
 def shortest_paths(counted: PathCount) -> Iterator[tuple[int, ...]]:
     """Every shortest path, one at a time: the k-th is `unrank_shortest_path(counted, k)`.
 
-    The walk follows only edges that step exactly one unit closer to the
-    target, so no dead end is ever explored and each path costs its length.
+    The walk follows only the steps of the DAG, each exactly one unit closer to
+    the target, so no dead end is ever explored and each path costs its length.
     It keeps an explicit stack, so path length is not bounded by the
     recursion limit.  Paths come out sorted lexicographically by vertex sequence.
     """
-    g, source, target, dist, _ = counted
-    steps = {v: _closer(g, dist, v) for v, d in enumerate(dist)
-             if d is not None and d <= dist[source]}
+    source, target, _, steps, _ = counted
     path: list[int] = []
     branches = [iter((source,))]  # branches[i]: untried steps after path[:i]
     while branches:
@@ -209,12 +207,6 @@ def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]]) -> tup
         if count or settled or 2 * k - 1 >= mirror - 2:
             return k, count
         before, before_support = counts, support
-
-
-def _closer(g: Digraph, dist: list[int | None], v: int) -> list[int]:
-    """Out-neighbors of v one step closer to the target, in sorted order."""
-    step = dist[v] - 1  # type: ignore[operator]
-    return [w for w in g.out(v) if dist[w] == step]
 
 
 def _check_vertex(g: Digraph, v: int) -> None:

@@ -246,7 +246,7 @@ def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:
 
 def solve_species(sp: SpeciesPuzzle) -> tuple[int, tuple[tuple[SpeciesState, ...], ...]] | None:
     """All shortest solutions of a species puzzle as state sequences, or None."""
-    return _shortest_solutions(*species_graph(sp))
+    return _shortest_solutions(*sp.state_graph)
 
 
 def solve_mc(p: McParams) -> tuple[int, tuple[StatePath, ...]] | None:

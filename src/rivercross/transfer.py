@@ -93,13 +93,10 @@ def _polynomials(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> Iterator[Polynomia
 
 def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
     """Read the rows g1, f1, g2, ... until they meet in the middle, settle or cover n - 1."""
-    bound = legal_state_bound(sp)
     k, count = meet_in_the_middle(rows)
-    if count:
-        return TransferOutcome(solvable=True, crossings=2 * k - 1, count=count, success_index=k,
-                               states_bound=bound, iterations_run=(k + 1) // 2)
-    return TransferOutcome(solvable=False, crossings=None, count=None, success_index=None,
-                           states_bound=bound, iterations_run=(k + 1) // 2)
+    return TransferOutcome(solvable=bool(count), crossings=2 * k - 1 if count else None,
+                           count=count or None, success_index=k if count else None,
+                           states_bound=legal_state_bound(sp), iterations_run=(k + 1) // 2)
 
 
 def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:

@@ -11,7 +11,7 @@ from rivercross.digraph import (
     unrank_shortest_path,
 )
 
-from reference import random_digraph
+from reference import bfs_distance, random_digraph
 
 
 def g_from_edges(n, edges):
@@ -36,10 +36,6 @@ class TestBuild:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Digraph.build([[4], []])
-
-    def test_reversed(self):
-        g = g_from_edges(3, [(1, 2), (2, 3), (1, 3)])
-        assert g.reversed().out(3) == (1, 2)
 
 
 class TestShortestDistance:
@@ -178,6 +174,7 @@ def diamond_chain(k):
 class TestCountAndUnrank:
     def test_unranking_lists_the_enumeration(self):
         graphs = [random_digraph(8, 0.3, seed=seed) for seed in range(12)]
+        graphs += [random_digraph(12, p, seed=seed) for p in (0.2, 0.35) for seed in range(6)]
         graphs += [random_digraph(15, 0.3, seed=3), *every_three_vertex_graph()]
         for g in graphs:
             expected = brute_force_shortest_paths(g, 1, g.n)
@@ -186,6 +183,7 @@ class TestCountAndUnrank:
                 assert counted is None
                 continue
             assert (counted.length, counted.count) == (len(expected[0]) - 1, len(expected))
+            assert_steps_are_the_dag(g, counted)
             ranked = [unrank_shortest_path(counted, k) for k in range(counted.count)]
             assert ranked == list(shortest_paths(counted)) == expected
 
@@ -212,6 +210,17 @@ class TestCountAndUnrank:
         for rank in (0, 1, 2 ** k // 3, 2 ** k - 1):
             middles = unrank_shortest_path(counted, rank)[1::2]
             assert middles == tuple(3 * i + 2 + (rank >> (k - 1 - i) & 1) for i in range(k))
+
+
+def assert_steps_are_the_dag(g, counted):
+    """`steps` holds exactly the edges one step closer by plain BFS, and `ways` sums over them."""
+    dist = {v: bfs_distance(g, v, counted.target) for v in range(1, g.n + 1)}
+    for v, d in dist.items():
+        in_dag = d is not None and 0 < d <= counted.length
+        closer = tuple(w for w in g.out(v) if in_dag and dist[w] == d - 1)
+        assert counted.steps[v] == closer, v
+        if in_dag:
+            assert counted.ways[v] == sum(counted.ways[w] for w in closer) > 0, v
 
 
 def test_long_chain_within_the_recursion_limit():

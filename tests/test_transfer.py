@@ -12,6 +12,7 @@ from rivercross import (
     mc_graph,
     mc_species,
     solve_mc,
+    solve_species,
     transfer,
     wolf_goat_cabbage,
 )
@@ -184,6 +185,21 @@ class TestSuccessorTable:
         # The bank rule runs exactly once on each vector of the 31x31 box, per boat side.
         assert sum(checks.values()) == 2 * 31 * 31
         assert set(checks.values()) == {1}
+
+    def test_one_compile_per_puzzle(self):
+        # Listing and the transfer read the same cached state graph.
+        mc = mc_species(McParams(5, 5, 3, 0))
+        calls = Counter()
+
+        def counted_rule(vec, boat_present):
+            calls[vec, boat_present] += 1
+            return mc.bank_rule(vec, boat_present)
+
+        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        crossings, solutions = solve_species(sp)
+        out = solve_by_transfer(sp)
+        assert (out.crossings, out.count) == (crossings, len(solutions))
+        assert sum(calls.values()) == 2 * 6 * 6
 
 
 class TestSolveByTransfer:
