@@ -35,7 +35,6 @@ from .puzzle import (
     Violation,
     mc_graph,
     mc_species,
-    moves_to_path,
     path_to_moves,
     solve_mc,
     solve_species,
@@ -46,15 +45,6 @@ from .puzzle import (
     wolf_goat_cabbage,
 )
 from .strategies import Strategy, applicability, build_strategy
-from .transfer import (
-    TransferOutcome,
-    TransferTrace,
-    cleanup,
-    format_polynomial,
-    legal_state_bound,
-    solve_by_transfer,
-    transfer_trace,
-)
-from .walkcount import count_shortest_walks
+from .transfer import TransferOutcome, format_polynomial, solve_by_transfer
 
 __version__ = "0.1.0"

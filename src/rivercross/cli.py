@@ -19,8 +19,8 @@ from .families import FamilySpec, conjecture_report, family_counts, family_param
 from .puzzle import (
     BankState,
     McParams,
+    SpeciesState,
     StatePath,
-    mc_graph,
     mc_species,
     spell_out,
     validate_params,
@@ -168,15 +168,15 @@ def _json_count(count: int):
     return count if abs(count) <= _INT64_MAX else str(count)
 
 
-def _counted(p: McParams) -> tuple[PathCount | None, tuple[BankState, ...]]:
+def _counted(p: McParams) -> tuple[PathCount | None, tuple[SpeciesState, ...]]:
     """Shortest solutions counted on the distance DAG, and the states naming its vertices."""
-    graph, states = mc_graph(p)
+    graph, states = mc_species(p).state_graph
     return count_shortest_paths(graph, 1, graph.n), states
 
 
-def _solution(states: tuple[BankState, ...], path: tuple[int, ...]) -> StatePath:
-    """The states a vertex path of the state graph visits."""
-    return tuple(states[v - 1] for v in path)
+def _solution(states: tuple[SpeciesState, ...], path: tuple[int, ...]) -> StatePath:
+    """The bank states a vertex path of the state graph visits."""
+    return tuple(BankState(*vec, boat) for vec, boat in (states[v - 1] for v in path))
 
 
 def _cmd_solve(args) -> tuple[dict, int]:

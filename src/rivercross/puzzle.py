@@ -125,12 +125,6 @@ def species_loads(sp: SpeciesPuzzle) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def species_state_ok(sp: SpeciesPuzzle, populations: tuple[int, ...], boat_on_start: bool) -> bool:
-    """Both banks safe for the given start-bank populations and boat side."""
-    far = tuple(a - v for a, v in zip(sp.amounts, populations))
-    return sp.bank_rule(populations, boat_on_start) and sp.bank_rule(far, not boat_on_start)
-
-
 def _mc_safe(m: int, c: int, margin: int) -> bool:
     """The MC rule: wherever both groups are present, missionaries lead by at least `margin`."""
     return not (m > 0 and c > 0 and m - c < margin)
@@ -279,19 +273,6 @@ def path_to_moves(path: StatePath) -> tuple[Move, ...]:
         e2 = a.cannibals - b.cannibals if forward else b.cannibals - a.cannibals
         moves.append(Move(e1, e2, forward))
     return tuple(moves)
-
-
-def moves_to_path(p: McParams, moves: tuple[Move, ...]) -> StatePath:
-    """Replay a move script from the initial state, returning every state visited."""
-    m, c, boat = p.missionaries, p.cannibals, 1
-    out = [BankState(m, c, boat)]
-    for mv in moves:
-        sign = -1 if mv.forward else 1
-        m += sign * mv.missionaries
-        c += sign * mv.cannibals
-        boat = 1 - boat
-        out.append(BankState(m, c, boat))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

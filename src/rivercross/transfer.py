@@ -31,7 +31,7 @@ from itertools import tee
 from typing import Iterator
 
 from .digraph import meet_in_the_middle, walk_rows
-from .puzzle import SpeciesPuzzle, species_state_ok
+from .puzzle import SpeciesPuzzle
 
 Exponents = tuple[int, ...]
 Polynomial = dict[Exponents, int]
@@ -62,16 +62,15 @@ class TransferTrace:
 
 
 def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynomial:
-    """Keep only monomials that encode a safe pair of banks (out-of-range ones die too)."""
-    out: Polynomial = {}
-    for mono, coeff in poly.items():
-        if coeff == 0:
-            continue
-        if any(e < 0 or e > a for e, a in zip(mono, sp.amounts)):
-            continue
-        if species_state_ok(sp, mono, boat_on_start):
-            out[mono] = coeff
-    return out
+    """Keep the nonzero monomials that are states of `sp.state_graph` on the given boat side.
+
+    The state graph holds only in-box states with both banks safe, so
+    out-of-range and unsafe monomials die.  Raises ValueError, as
+    `species_graph` does, when the puzzle is ill-posed.
+    """
+    flag = int(boat_on_start)
+    legal = set(sp.state_graph[1])
+    return {mono: coeff for mono, coeff in poly.items() if coeff and (mono, flag) in legal}
 
 
 def legal_state_bound(sp: SpeciesPuzzle) -> int:

@@ -142,6 +142,27 @@ class TestCleanup:
         sp = classic_species()
         assert cleanup({(4, 0): 1, (-1, 2): 3, (0, 0): 2}, sp, True) == {(0, 0): 2}
 
+    def test_reads_the_compile_not_the_rule(self):
+        # Once the state graph is built, legality is membership: the bank rule never runs.
+        mc = classic_species()
+        checks = Counter()
+
+        def counted_rule(vec, boat_present):
+            checks[vec, boat_present] += 1
+            return mc.bank_rule(vec, boat_present)
+
+        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        assert sp.state_graph
+        checks.clear()
+        poly = {(3, 3): 1, (2, 2): 2, (1, 2): 3, (2, 3): 4, (4, 0): 5, (-1, 2): 6, (0, 1): 0}
+        assert cleanup(poly, sp, True) == {(3, 3): 1, (2, 2): 2}
+        assert sum(checks.values()) == 0
+
+    def test_ill_posed_puzzle_raises(self):
+        sp = dataclasses.replace(classic_species(), bank_rule=lambda v, boat: v[0] == 0)
+        with pytest.raises(ValueError, match="initial position"):
+            cleanup({}, sp, True)
+
 
 class TestTransferStep:
     """The first stages of the classic instance, as worked by hand."""
