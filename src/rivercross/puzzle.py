@@ -65,7 +65,7 @@ def validate_params(p: McParams) -> None:
         raise ParamError("cannibals", f"need at least 1 cannibal, got {p.cannibals}")
     if p.boat_capacity < 2:
         raise ParamError("boat-capacity", f"boat must hold at least 2, got {p.boat_capacity}")
-    if p.missionaries - p.cannibals < p.safety_margin:
+    if not _mc_safe(p.missionaries, p.cannibals, p.safety_margin):
         raise ParamError(
             "initial-state",
             f"initial state is illegal: surplus {p.missionaries - p.cannibals} "

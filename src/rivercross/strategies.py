@@ -2,8 +2,10 @@
 
 Each strategy is a constructive recipe: when its condition on the parameters
 holds it emits a full move script that the validator accepts, which certifies
-the instance solvable without any search.  Scripts are not required to be
-minimal.  The conditions are sufficient only; their failure proves nothing.
+the instance solvable without any search.  Every script ends the first time
+everyone is across; scripts are not required to be minimal.  The conditions
+are sufficient only; their failure proves nothing.  A margin below -1 is read
+as -1 (see _recipe_params).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 
 from .puzzle import McParams, Move, validate_params
-from .puzzle import Violation, validate_solution  # noqa: F401  (re-exported)
+from .puzzle import validate_solution  # noqa: F401  (re-exported)
 
 
 class Strategy(enum.Enum):
@@ -26,16 +28,27 @@ class Strategy(enum.Enum):
 
 def applicability(p: McParams) -> set[Strategy]:
     """The strategies whose sufficiency condition holds for p."""
-    validate_params(p)
-    m, c, b, d = p
+    m, c, b, d = _recipe_params(p)
     return {s for s, (holds, _) in _RECIPES.items() if holds(m, c, b, d)}
 
 
 def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
     """Emit the move script for one strategy, or None when its condition fails."""
-    validate_params(p)
+    p = _recipe_params(p)
     holds, build = _RECIPES[strategy]
     return build(p) if holds(*p) else None
+
+
+def _recipe_params(p: McParams) -> McParams:
+    """Validate p, then read a margin below -1 as -1, where the recipes' arithmetic holds.
+
+    A lower margin only admits more states and loads, so a script legal at -1
+    is legal below it.  Where even the start leads by less than -1, only the
+    big-boat conditions can hold, and their scripts never put a bank or the
+    boat below the starting lead.
+    """
+    validate_params(p)
+    return p._replace(safety_margin=max(p.safety_margin, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -45,45 +58,40 @@ def build_strategy(p: McParams, strategy: Strategy) -> tuple[Move, ...] | None:
 
 
 class _Script:
-    """A move script that notes when everyone is first across (some recipes overshoot)."""
+    """A move script and the start-bank population it leaves.  Each recipe stops at the goal."""
 
     def __init__(self, p: McParams):
         self.m = p.missionaries
         self.c = p.cannibals
         self.moves: list[Move] = []
-        self.goal: int | None = None  # moves made when the goal state (0, 0, 0) was first reached
 
     def forward(self, e1: int, e2: int) -> None:
         self.moves.append(Move(e1, e2, True))
         self.m -= e1
         self.c -= e2
-        if not (self.m or self.c):
-            self._note_goal()
 
     def back(self, e1: int, e2: int) -> None:
         self.moves.append(Move(e1, e2, False))
         self.m += e1
         self.c += e2
-        if not (self.m or self.c):
-            self._note_goal()
 
-    def _note_goal(self) -> None:
-        # Nobody is left on the start bank; the boat is across after an odd number of crossings.
-        if self.goal is None and len(self.moves) % 2:
-            self.goal = len(self.moves)
+    def drain_missionaries(self, d: int) -> None:
+        """Two missionaries out, one back, until the start bank leads by d + 1."""
+        while self.m - self.c > d + 1:
+            self.forward(2, 0)
+            self.back(1, 0)
 
-    def done(self) -> tuple[Move, ...]:
-        """The script, cut at the first moment everyone is across."""
-        return tuple(self.moves[: self.goal])
+    def ferry_cannibals(self, b: int) -> None:
+        """The closing phase: while cannibals remain, one rows back and a boatload crosses."""
+        while self.c > 0:
+            self.back(0, 1)
+            self.forward(0, min(b, self.c))
 
 
 def _two_boat(p: McParams) -> tuple[Move, ...]:
     """Two people per trip: drain surplus missionaries, then shuttle cannibals across."""
-    m_, c_, b_, d = p
     s = _Script(p)
-    for _ in range(m_ - c_ - d - 1):
-        s.forward(2, 0)
-        s.back(1, 0)
+    s.drain_missionaries(p.safety_margin)
     while s.c > 1:
         s.forward(0, 2)
         s.back(0, 1)
@@ -93,27 +101,21 @@ def _two_boat(p: McParams) -> tuple[Move, ...]:
     while s.m > 0:
         s.back(1, 0)
         s.forward(2, 0)
-    return s.done()
+    return tuple(s.moves)
 
 
 def _big_boat_1(p: McParams) -> tuple[Move, ...]:
     """Boat dominates the cannibals: ship every missionary, then let cannibals self-ferry."""
     m_, c_, b_, d = p
     s = _Script(p)
-    for _ in range(max(0, m_ - c_ - d - 1)):
-        s.forward(2, 0)
-        s.back(1, 0)
+    s.drain_missionaries(d)
     s.forward(s.m, 0)
     # A dominant group must row back to fetch the boat for the cannibals.
     escort = min(b_ - 1, m_)
     s.back(escort, 0)
     s.forward(escort, 1)
-    s.back(0, 1)
-    while s.c > 0:
-        s.forward(0, min(b_, s.c))
-        if s.c > 0:
-            s.back(0, 1)
-    return s.done()
+    s.ferry_cannibals(b_)
+    return tuple(s.moves)
 
 
 def _big_boat_2(p: McParams) -> tuple[Move, ...]:
@@ -123,12 +125,8 @@ def _big_boat_2(p: McParams) -> tuple[Move, ...]:
     s.forward(0, 2)
     s.back(0, 1)
     s.forward(m_, 0)
-    s.back(0, 1)
-    while s.c > 0:
-        s.forward(0, min(b_, s.c))
-        if s.c > 0:
-            s.back(0, 1)
-    return s.done()
+    s.ferry_cannibals(b_)
+    return tuple(s.moves)
 
 
 def _split_cannibals(p: McParams) -> tuple[Move, ...]:
@@ -146,10 +144,8 @@ def _split_cannibals(p: McParams) -> tuple[Move, ...]:
             s.forward(s.m, 0)
         else:
             s.forward(min(b_, s.m - floor), 0)
-    while s.c > 0:
-        s.back(0, 1)
-        s.forward(0, min(b_, s.c))
-    return s.done()
+    s.ferry_cannibals(b_)
+    return tuple(s.moves)
 
 
 def _simultaneous_ferry(p: McParams) -> tuple[Move, ...]:
@@ -165,7 +161,7 @@ def _simultaneous_ferry(p: McParams) -> tuple[Move, ...]:
         s.forward(min(b_, s.m), 0)
         if s.m > 0:
             s.back(1, 0)
-    return s.done()
+    return tuple(s.moves)
 
 
 def _zero_margin_slack(p: McParams) -> tuple[Move, ...]:
@@ -180,7 +176,7 @@ def _zero_margin_slack(p: McParams) -> tuple[Move, ...]:
         s.forward(1, 1)
         s.back(0, 1)
     s.forward(1, 1)
-    return s.done()
+    return tuple(s.moves)
 
 
 def _zero_margin_equal_big_boat(p: McParams) -> tuple[Move, ...]:
@@ -190,7 +186,7 @@ def _zero_margin_equal_big_boat(p: McParams) -> tuple[Move, ...]:
         s.forward(2, 2)
         s.back(1, 1)
     s.forward(2, 2)
-    return s.done()
+    return tuple(s.moves)
 
 
 # Each strategy's sufficiency condition on (m, c, b, d), beside its recipe.

@@ -49,6 +49,9 @@ def command_lines():
             if d < 0 and command == ["solve", "--all"]:
                 continue  # solve 6 5 2 -1 --all alone lists 67,500 solutions
             yield [command[0], str(m), str(c), str(b), str(d), *command[1:], *fmt]
+    for m, c, b in product(range(1, 5), range(1, 5), range(2, 5)):  # a margin below -1 reads as -1
+        for command, fmt in product([["strategy"], *names], formats):
+            yield [command[0], str(m), str(c), str(b), "-2", *command[1:], *fmt]
     for family, fmt in product([["0", "2", "0", "5"], ["1", "3", "1", "8"], ["2", "2", "-1", "6"],
                                 ["5", "3", "1", "12"], ["-2", "4", "0", "5"]], formats):
         yield ["sequence", *family, *fmt]

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercross import (
     McParams,
@@ -22,10 +24,22 @@ from rivercross.strategies import (
 from classic import CLASSIC
 
 
-def small_grid():
-    for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 9), range(0, 4)):
+def small_grid(margins=range(0, 4)):
+    for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 9), margins):
         if m - c >= d:
             yield McParams(m, c, b, d)
+
+
+def first_arrival(p: McParams, moves) -> int | None:
+    """The number of moves after which the start bank is first empty, or None."""
+    m, c = p.missionaries, p.cannibals
+    for made, mv in enumerate(moves, 1):
+        sign = 1 if mv.forward else -1
+        m -= sign * mv.missionaries
+        c -= sign * mv.cannibals
+        if not (m or c):
+            return made
+    return None
 
 
 class TestApplicability:
@@ -97,11 +111,12 @@ class TestBuildStrategy:
             assert len(moves) == shortest_distance(graph, 1, graph.n) == 2 * n - 3
 
     def test_sweep_all_applicable_strategies_validate(self):
-        for p in small_grid():
+        for p in small_grid(range(-4, 4)):
             for strategy in applicability(p):
                 moves = build_strategy(p, strategy)
                 violation = validate_solution(p, moves)
                 assert violation is None, (p, strategy, violation)
+                assert first_arrival(p, moves) == len(moves), (p, strategy)
 
     def test_applicable_implies_search_solvable(self):
         for p in small_grid():
@@ -132,6 +147,26 @@ def test_build_strategy_checks_only_its_own_condition(monkeypatch):
                     build_strategy(p, s)
             else:
                 assert (build_strategy(p, s) is not None) == (s in found), (p, s)
+
+
+@st.composite
+def mc_params(draw):
+    """m, c in 1..60, b in 2..20 and d in -6..6, with a legal start: m - c >= d."""
+    m = draw(st.integers(1, 60))
+    c = draw(st.integers(1, min(60, m + 6)))
+    return McParams(m, c, draw(st.integers(2, 20)), draw(st.integers(-6, min(6, m - c))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(mc_params())
+def test_every_listed_strategy_builds_a_script_that_stops_at_the_goal(p):
+    found = applicability(p)
+    for strategy in Strategy:
+        moves = build_strategy(p, strategy)
+        assert (moves is not None) == (strategy in found), (p, strategy)
+        if moves is not None:
+            assert validate_solution(p, moves) is None, (p, strategy)
+            assert first_arrival(p, moves) == len(moves), (p, strategy)
 
 
 class TestValidateSolution:
