@@ -3,8 +3,9 @@
 For a fixed missionary surplus, boat capacity, and safety margin, term i of a
 family counts the shortest solutions of the instance with i cannibals and
 i + surplus missionaries.  The fitting machinery guesses a minimal linear
-recurrence with constant coefficients by exact rational elimination, turns it
-into a rational generating function, and verifies the guess on held-out terms.
+recurrence with constant coefficients by the Berlekamp-Massey algorithm over
+the rationals, turns it into a rational generating function, and checks that
+its series reproduces every term.
 Fits remain conjectures; nothing here constitutes a proof.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -76,65 +78,52 @@ def fit_linear_recurrence(
 ) -> LinearRecurrence | None:
     """Find the minimal-order linear recurrence fitting seq beyond the offset.
 
-    Coefficients are solved exactly over the rationals from every window except
-    the last two terms, which are held out and must also verify; this guards
-    the fit against short-sequence overfitting.  Returns None if no order up to
-    max_order fits.  Raises ValueError when the sequence is too short to leave
-    held-out terms at max_order.
+    One Berlekamp-Massey pass over the tail seq[offset:], exact over the
+    rationals, gives the tail's linear complexity L (the least order of a
+    recurrence holding across the whole tail) and its connection polynomial
+    C = 1 - c_1 x - ... - c_L x^L.  The fit is a(n) = c_1 a(n-1) + ... +
+    c_L a(n-L) when 1 <= L <= max_order and c_L != 0, and None otherwise.
+    No order up to max_order fits in any other case:
+    - the length check leaves at least 2*max_order + 2 terms in the tail;
+    - so when L <= max_order the tail has at least 2L + 2 terms, the order-L
+      recurrence is unique, and every other recurrence that fits is a
+      polynomial multiple of C;
+    - so when c_L == 0, no order up to max_order fits with a nonzero last
+      coefficient, and a later offset must be tried;
+    - when L > max_order, no order up to max_order fits at all;
+    - an all-zero tail has L = 0 and no recurrence.
+    Raises ValueError for a negative offset, or when the sequence is too short
+    for that bound at max_order.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    if offset < 0:
+        raise ValueError("offset must be at least 0")
     if len(seq) < 2 * max_order + offset + 2:
         raise ValueError(
             f"insufficient data: need at least {2 * max_order + offset + 2} terms, "
             f"got {len(seq)}"
         )
     tail = [Fraction(v) for v in seq[offset:]]
-    hi = len(tail)
-    for order in range(1, max_order + 1):
-        rows = [
-            [tail[n - j] for j in range(1, order + 1)] + [tail[n]]
-            for n in range(order, hi - 2)
-        ]
-        coeffs = _solve_exact(rows, order)
-        if coeffs is None or coeffs[-1] == 0:
+    # conn is C for the terms read so far, of order length; prev is C as it
+    # stood before the last change of length, at term last, with discrepancy prev_d.
+    conn, prev, prev_d, length, last = [Fraction(1)], [Fraction(1)], Fraction(1), 0, -1
+    for n, v in enumerate(tail):
+        d = v + sum(conn[j] * tail[n - j] for j in range(1, length + 1))
+        if d == 0:
             continue
-        rec = LinearRecurrence(
-            order=order,
-            coefficients=tuple(coeffs),
-            offset=offset,
-            initial=tuple(int(v) for v in tail[:order]),
-        )
-        if all(rec.holds_at(tail, n) for n in range(order, hi)):
-            return rec
-    return None
-
-
-def _solve_exact(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
-    """Gauss-Jordan over the rationals on an augmented system; free variables become 0."""
-    mat = [row[:] for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivot_of_col[col] = r
-        r += 1
-    for row in mat[r:]:
-        if row[-1] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for col, prow in pivot_of_col.items():
-        solution[col] = mat[prow][-1]
-    return solution
+        q, old = d / prev_d, conn
+        conn = [a - q * b for a, b in zip_longest(conn, [0] * (n - last) + prev, fillvalue=0)]
+        if 2 * length <= n:
+            length, prev, prev_d, last = n + 1 - length, old, d, n
+    if not 1 <= length <= max_order or conn[length] == 0:
+        return None
+    return LinearRecurrence(
+        order=length,
+        coefficients=tuple(-c for c in conn[1:length + 1]),
+        offset=offset,
+        initial=tuple(int(v) for v in tail[:length]),
+    )
 
 
 def rational_gf(rec: LinearRecurrence, head: Sequence[int]) -> RationalGF:

@@ -3,12 +3,14 @@
 Dense adjacency-matrix powers and their symbolic counterpart, which labels
 every edge so each monomial of a matrix entry reconstructs one concrete path,
 plus seeded random digraph generators, and a species puzzle's states, state
-graph and transfer stage computed by direct loops over loads and banks.  From
+graph and transfer stage computed by direct loops over loads and banks, and a
+recurrence fit that solves every order in turn by Gauss-Jordan elimination.  From
 the package this module takes only data types, never a rule or a kernel, so a
 fault in the package cannot hide behind an oracle that shares it.
 """
 
 import random
+from fractions import Fraction
 from collections import deque
 from itertools import product
 
@@ -246,3 +248,52 @@ def reference_reachable(sp: SpeciesPuzzle) -> set[tuple[tuple[int, ...], int]]:
                 seen.add(w)
                 queue.append(w)
     return {states[v - 1] for v in seen}
+
+
+def reference_fit_recurrence(seq, max_order: int, offset: int = 0):
+    """Minimal-order recurrence fitting seq[offset:], as (order, coefficients, offset, initial), or None.
+
+    Each order from 1 to max_order is solved exactly on every window but the
+    last two terms, which are held out; a solution whose last coefficient is 0
+    is skipped, and the first one that holds across the whole tail is the fit.
+    The caller keeps len(seq) >= 2 * max_order + offset + 2 and offset >= 0.
+    """
+    tail = [Fraction(v) for v in seq[offset:]]
+    hi = len(tail)
+    for order in range(1, max_order + 1):
+        rows = [[tail[n - j] for j in range(1, order + 1)] + [tail[n]]
+                for n in range(order, hi - 2)]
+        coeffs = _solve_exact(rows, order)
+        if coeffs is None or coeffs[-1] == 0:
+            continue
+        if all(tail[n] == sum(c * tail[n - j] for j, c in enumerate(coeffs, start=1))
+               for n in range(order, hi)):
+            return order, tuple(coeffs), offset, tuple(int(v) for v in tail[:order])
+    return None
+
+
+def _solve_exact(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
+    """Gauss-Jordan over the rationals on an augmented system; free variables become 0."""
+    mat = [row[:] for row in rows]
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivot_of_col[col] = r
+        r += 1
+    for row in mat[r:]:
+        if row[-1] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for col, prow in pivot_of_col.items():
+        solution[col] = mat[prow][-1]
+    return solution

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercross import (
     FamilySpec,
@@ -16,6 +18,7 @@ from rivercross import (
 from rivercross.families import LinearRecurrence, RationalGF, format_recurrence
 
 from classic import FIB_FAMILY_TERMS, fibonacci
+from reference import reference_fit_recurrence
 
 
 class TestFamilyCounts:
@@ -84,10 +87,24 @@ class TestFitRecurrence:
         assert rec is not None and rec.coefficients == (Fraction(1), Fraction(1))
         assert rec.offset == 2 and rec.initial == (13, 21)
 
-    def test_fit_verifies_on_held_out_terms(self):
-        # Without the two held-out terms this would fit order 2 on the window.
+    def test_fit_covers_the_whole_tail(self):
+        # Order 2 holds on every term but the last, so the whole tail has no fit.
         seq = [1, 1, 2, 3, 5, 8, 13, 999]
         assert fit_linear_recurrence(seq, max_order=2) is None
+
+    def test_negative_offset_rejected(self):
+        with pytest.raises(ValueError, match="offset must be at least 0"):
+            fit_linear_recurrence([5, 1, 2, 4, 8, 16, 32, 64], max_order=1, offset=-4)
+        with pytest.raises(ValueError, match="offset must be at least 0"):
+            fit_linear_recurrence([1, 2, 4, 8, 16, 32], max_order=1, offset=-2)
+
+    def test_transient_whose_connection_polynomial_falls_short_of_its_order(self):
+        # The shortest recurrence is a(n) = 0 * a(n-1): order 1 with a zero coefficient.
+        assert fit_linear_recurrence([1, 0, 0, 0, 0, 0], max_order=2) is None
+
+    def test_all_zero_tail(self):
+        assert fit_linear_recurrence([0] * 6, max_order=2) is None
+        assert fit_linear_recurrence([3, 1, 0, 0, 0, 0, 0, 0], max_order=2, offset=2) is None
 
     def test_scale_consistency(self):
         base = [13, 21, 34, 55, 89, 144, 233, 377]
@@ -102,6 +119,35 @@ class TestFitRecurrence:
         seq = [Fraction(v) for v in seq] + [Fraction(1, 4), Fraction(1, 8)]
         rec = fit_linear_recurrence(seq, max_order=2)
         assert rec is not None and rec.coefficients == (Fraction(1, 2),)
+
+
+@st.composite
+def fit_sequences(draw):
+    """A head of 0..4 arbitrary terms, then an integer recurrence of order 0..5, maybe perturbed once.
+
+    Order 0 gives a zero tail; coefficients lie in -3..3, so the last may be 0.
+    """
+    head = draw(st.lists(st.integers(-9, 9), max_size=4))
+    order = draw(st.integers(0, 5))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    body = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    length = draw(st.integers(max(6, len(head) + order), 12))
+    while len(head) + len(body) < length:
+        body.append(sum(c * body[-j] for j, c in enumerate(coeffs, start=1)))
+    seq = head + body
+    if draw(st.integers(0, 3)) == 0:
+        seq[draw(st.integers(0, length - 1))] += draw(st.sampled_from([-1, 1, 5]))
+    return seq
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(fit_sequences())
+def test_fit_matches_per_order_elimination(seq):
+    for max_order in range(1, (len(seq) - 2) // 2 + 1):
+        for offset in range(len(seq) - 2 * max_order - 1):
+            rec = fit_linear_recurrence(seq, max_order, offset)
+            fields = None if rec is None else (rec.order, rec.coefficients, rec.offset, rec.initial)
+            assert fields == reference_fit_recurrence(seq, max_order, offset), (max_order, offset)
 
 
 class TestRationalGF:
