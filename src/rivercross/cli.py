@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import time
+from itertools import islice
 
 from . import __version__
 from .digraph import PathCount, count_shortest_paths, shortest_paths, unrank_shortest_path
@@ -36,9 +37,9 @@ EXIT_UNSOLVABLE = 2
 _INT64_MAX = 2**63 - 1
 
 # Largest state box (M+1)(C+1) an instance command accepts; family commands
-# check their largest member.  The largest instance the tests and the
-# benchmark use is (86, 86), a box of 7,569; at this limit a square instance
-# such as (315, 315, 8, 0) is counted in about a second.
+# check their largest member, and the tests and the benchmark reach (86, 86).
+# It bounds the states, not the edges or the time: (315, 315, 8, 0) counts in
+# about a second, but (300, 300, 600, -600), inside it, takes over a minute.
 MAX_STATE_BOX = 100_000
 
 
@@ -188,8 +189,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
         payload["text"] = (f"{_params_line(p)}\n"
                            "UNSOLVABLE: the goal is unreachable from the initial state")
         return payload, EXIT_UNSOLVABLE
-    # Without --all, solution 0 is unranked and no other is listed.
-    paths = shortest_paths(counted) if args.all else [unrank_shortest_path(counted, 0)]
+    # The listing is lazy: without --all, only its first path, solution 0, is built.
+    paths = islice(shortest_paths(counted), None if args.all else 1)
     shown = [_solution(states, path) for path in paths]
     payload.update({
         "solvable": True,

@@ -9,7 +9,6 @@ shortest-path DAG that `count_shortest_paths` builds once and that
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -66,12 +65,20 @@ class PathCount(NamedTuple):
 
 def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
     """Minimal edge count of a walk from source to target, or None if unreachable."""
+    counted = count_shortest_paths(g, source, target)
+    return None if counted is None else counted.length
+
+
+def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
+    """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
+
+    A breadth-first search from the target over reversed edges stops at the
+    first vertex of the source's layer, when every nearer vertex is expanded
+    and that whole layer is labelled.  Its order is by distance, so one walk
+    along it takes each vertex's steps, the out-neighbors one step closer, and
+    sums their `ways` (Brandes, 2001): one big-integer addition per DAG edge.
+    """
     _check_vertex(g, source)
-    return distances_to(g, target)[source]
-
-
-def distances_to(g: Digraph, target: int) -> list[int | None]:
-    """Distance from every vertex to the target; entry 0 is unused padding."""
     _check_vertex(g, target)
     into: list[list[int]] = [[] for _ in range(g.n + 1)]  # into[w]: the v with an edge v -> w
     for v, row in enumerate(g.neighbors, start=1):
@@ -79,34 +86,21 @@ def distances_to(g: Digraph, target: int) -> list[int | None]:
             into[w].append(v)
     dist: list[int | None] = [None] * (g.n + 1)
     dist[target] = 0
-    queue = deque([target])
-    while queue:
-        u = queue.popleft()
+    order = [target]  # the queue: it grows while it is read
+    for u in order:
+        if dist[u] == dist[source]:
+            break
         for v in into[u]:
             if dist[v] is None:
                 dist[v] = dist[u] + 1  # type: ignore[operator]
-                queue.append(v)
-    return dist
-
-
-def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
-    """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
-
-    Vertices are taken in order of increasing distance to the target.  Each
-    one's steps, the out-neighbors w one step closer, are found once, and
-    `ways[v]` is the sum of their `ways[w]`: one big-integer addition per edge
-    of the DAG, and no recursion.
-    """
-    _check_vertex(g, source)
-    dist = distances_to(g, target)
+                order.append(v)
     length = dist[source]
     if length is None:
         return None
     steps: list[tuple[int, ...]] = [()] * (g.n + 1)
     ways = [0] * (g.n + 1)
     ways[target] = 1
-    nearer = [v for v, d in enumerate(dist) if d is not None and 0 < d <= length]
-    for v in sorted(nearer, key=dist.__getitem__):
+    for v in order[1:]:
         closer = dist[v] - 1  # type: ignore[operator]
         steps[v] = tuple([w for w in g.out(v) if dist[w] == closer])
         ways[v] = sum(map(ways.__getitem__, steps[v]))

@@ -33,13 +33,13 @@ class LinearRecurrence:
     """a(n) = sum of coefficients[j-1] * a(n-j), holding for n >= offset + order.
 
     Indices refer to the sequence the recurrence was fitted against; `initial`
-    holds the `order` terms at the offset that seed the recurrence.
+    holds the `order` terms at the offset that seed the recurrence, as given.
     """
 
     order: int
     coefficients: tuple[Fraction, ...]
     offset: int
-    initial: tuple[int, ...]
+    initial: tuple[int | Fraction, ...]
 
     def holds_at(self, seq: Sequence[int], n: int) -> bool:
         return seq[n] == sum(c * seq[n - j] for j, c in enumerate(self.coefficients, start=1))
@@ -122,7 +122,7 @@ def fit_linear_recurrence(
         order=length,
         coefficients=tuple(-c for c in conn[1:length + 1]),
         offset=offset,
-        initial=tuple(int(v) for v in tail[:length]),
+        initial=tuple(seq[offset:offset + length]),
     )
 
 

@@ -2,6 +2,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercross.digraph import (
     Digraph,
@@ -232,3 +234,35 @@ def test_long_chain_within_the_recursion_limit():
     assert (counted.length, counted.count) == (n - 1, 1)
     assert list(shortest_paths(counted)) == [chain]
     assert unrank_shortest_path(counted, 0) == chain
+
+
+@st.composite
+def digraphs_with_endpoints(draw):
+    """A digraph on 1..8 vertices, any ordered pair an edge or not, and two endpoints.
+
+    The target is drawn as an offset from the source, so equal endpoints are
+    one case among n rather than the most common one.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = itertools.product(range(1, n + 1), repeat=2)
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    source = draw(st.integers(1, n))
+    target = (source - 1 + draw(st.integers(0, n - 1))) % n + 1
+    return g_from_edges(n, edges), source, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(digraphs_with_endpoints())
+def test_count_matches_plain_bfs_and_brute_force(case):
+    g, source, target = case
+    distance = bfs_distance(g, source, target)
+    counted = count_shortest_paths(g, source, target)
+    assert (counted is None) == (distance is None)
+    assert shortest_distance(g, source, target) == distance
+    if counted is None:
+        return
+    expected = brute_force_shortest_paths(g, source, target)
+    assert (counted.length, counted.count) == (distance, len(expected))
+    assert_steps_are_the_dag(g, counted)
+    ranked = [unrank_shortest_path(counted, k) for k in range(counted.count)]
+    assert ranked == list(shortest_paths(counted)) == expected

@@ -87,6 +87,12 @@ class TestFitRecurrence:
         assert rec is not None and rec.coefficients == (Fraction(1), Fraction(1))
         assert rec.offset == 2 and rec.initial == (13, 21)
 
+    def test_rational_seed_terms_kept_as_given(self):
+        seq = [4, 2, 1] + [Fraction(1, 2 ** k) for k in range(1, 6)]
+        rec = fit_linear_recurrence(seq, max_order=1, offset=3)
+        assert rec is not None and rec.coefficients == (Fraction(1, 2),)
+        assert rec.initial == (Fraction(1, 2),)
+
     def test_fit_covers_the_whole_tail(self):
         # Order 2 holds on every term but the last, so the whole tail has no fit.
         seq = [1, 1, 2, 3, 5, 8, 13, 999]
