@@ -1,10 +1,10 @@
 """River-crossing puzzle toolkit.
 
 Solves and counts shortest solutions of generalized missionaries-and-cannibals
-puzzles (and other species-based river crossings) by three independent
-methods, generates counting sequences over infinite puzzle families with
-automatic recurrence and generating-function fitting, and executes named
-constructive strategies with sufficiency conditions.
+puzzles (and other species-based river crossings) by a graph search and,
+independently, by one walk computation that `matrix` and `transfer` share;
+generates counting sequences over infinite puzzle families, fitting recurrences
+and generating functions; and runs named strategies with sufficiency conditions.
 """
 
 from .digraph import (

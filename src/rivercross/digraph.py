@@ -44,11 +44,12 @@ class Digraph:
 class PathCount(NamedTuple):
     """The DAG of shortest source-to-target paths of a digraph, counted but not listed.
 
-    `steps[v]` holds the out-neighbors of v one step closer to the target, in
-    `g.out` order, for every v at distance 1..`length` from it (and is empty
-    elsewhere); these are the DAG's edges.  `ways[v]` is the number of
-    shortest v-to-target paths, so `count` is `ways[source]`.  Entry 0 of both
-    is unused padding.  `unrank_shortest_path` reads the k-th path off them,
+    Only the vertices on a shortest source-to-target path carry labels.  For
+    such a v, `steps[v]` holds the out-neighbors one step further along such
+    a path, in `g.out` order; these are the DAG's edges.  `ways[v]` is the
+    number of shortest v-to-target paths, so `count` is `ways[source]`.  Every
+    other vertex has empty `steps` and zero `ways`, and entry 0 of both is
+    unused padding.  `unrank_shortest_path` reads the k-th path off them,
     and `shortest_paths` lists them all.
     """
 
@@ -72,38 +73,36 @@ def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
 def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
     """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
 
-    A breadth-first search from the target over reversed edges stops at the
-    first vertex of the source's layer, when every nearer vertex is expanded
-    and that whole layer is labelled.  Its order is by distance, so one walk
-    along it takes each vertex's steps, the out-neighbors one step closer, and
-    sums their `ways` (Brandes, 2001): one big-integer addition per DAG edge.
+    A breadth-first search from the source stops at the first vertex of the
+    target's layer, when every nearer vertex is expanded and that whole layer
+    is labelled.  Its order is by distance, so one walk back along it takes
+    each vertex's steps, the out-neighbors one layer further that reach the
+    target, and sums their `ways` (Brandes, 2001): one big-integer addition
+    per DAG edge.  Only the rows of vertices nearer than the target are read.
     """
     _check_vertex(g, source)
     _check_vertex(g, target)
-    into: list[list[int]] = [[] for _ in range(g.n + 1)]  # into[w]: the v with an edge v -> w
-    for v, row in enumerate(g.neighbors, start=1):
-        for w in row:
-            into[w].append(v)
     dist: list[int | None] = [None] * (g.n + 1)
-    dist[target] = 0
-    order = [target]  # the queue: it grows while it is read
+    dist[source] = 0
+    order = [source]  # the queue: it grows while it is read
     for u in order:
-        if dist[u] == dist[source]:
+        if dist[u] == dist[target]:
             break
-        for v in into[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1  # type: ignore[operator]
-                order.append(v)
-    length = dist[source]
+        for w in g.out(u):
+            if dist[w] is None:
+                dist[w] = dist[u] + 1  # type: ignore[operator]
+                order.append(w)
+    length = dist[target]
     if length is None:
         return None
     steps: list[tuple[int, ...]] = [()] * (g.n + 1)
     ways = [0] * (g.n + 1)
     ways[target] = 1
-    for v in order[1:]:
-        closer = dist[v] - 1  # type: ignore[operator]
-        steps[v] = tuple([w for w in g.out(v) if dist[w] == closer])
-        ways[v] = sum(map(ways.__getitem__, steps[v]))
+    for v in reversed(order):
+        further = dist[v] + 1  # type: ignore[operator]
+        if further <= length:
+            steps[v] = tuple([w for w in g.out(v) if dist[w] == further and ways[w]])
+            ways[v] = sum(map(ways.__getitem__, steps[v]))
     return PathCount(source, target, length, steps, ways)
 
 

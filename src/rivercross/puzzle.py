@@ -233,7 +233,7 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
 def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:
     """State graph of an MC instance; vertex i maps to the i-th returned BankState."""
     validate_params(p)
-    graph, raw = species_graph(mc_species(p))
+    graph, raw = mc_species(p).state_graph
     states = tuple(BankState(vec[0], vec[1], flag) for vec, flag in raw)
     return graph, states
 

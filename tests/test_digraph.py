@@ -1,3 +1,4 @@
+import collections
 import itertools
 import sys
 
@@ -11,6 +12,7 @@ from rivercross.digraph import (
     shortest_distance,
     shortest_paths,
     unrank_shortest_path,
+    walk_rows,
 )
 
 from reference import bfs_distance, random_digraph
@@ -58,7 +60,7 @@ class TestShortestDistance:
         assert shortest_distance(g, 1, 4) == 1
 
 
-class TestAllShortestPaths:
+class TestShortestPaths:
     def test_single_edge(self):
         g = g_from_edges(2, [(1, 2)])
         assert listed(g, 1, 2) == (1, [(1, 2)])
@@ -215,14 +217,62 @@ class TestCountAndUnrank:
 
 
 def assert_steps_are_the_dag(g, counted):
-    """`steps` holds exactly the edges one step closer by plain BFS, and `ways` sums over them."""
-    dist = {v: bfs_distance(g, v, counted.target) for v in range(1, g.n + 1)}
-    for v, d in dist.items():
-        in_dag = d is not None and 0 < d <= counted.length
-        closer = tuple(w for w in g.out(v) if in_dag and dist[w] == d - 1)
-        assert counted.steps[v] == closer, v
-        if in_dag:
-            assert counted.ways[v] == sum(counted.ways[w] for w in closer) > 0, v
+    """`steps` holds exactly the DAG's edges in `g.out` order, and `ways` counts paths over them.
+
+    By plain BFS from both ends, v lies on a shortest path when its distances
+    from the source and to the target add up to the length; its steps are its
+    out-neighbors on such a path one layer further from the source.  Every
+    other vertex, and the padding at index 0, has no steps and no ways.
+    """
+    source, target, length = counted.source, counted.target, counted.length
+    reach = {v: bfs_distance(g, source, v) for v in range(1, g.n + 1)}
+    rest = {v: bfs_distance(g, v, target) for v in range(1, g.n + 1)}
+    on_dag = {v for v in reach if None not in (reach[v], rest[v]) and reach[v] + rest[v] == length}
+    assert len(counted.steps) == len(counted.ways) == g.n + 1
+    assert (counted.steps[0], counted.ways[0]) == ((), 0)
+    for v in range(1, g.n + 1):
+        if v not in on_dag:
+            assert (counted.steps[v], counted.ways[v]) == ((), 0), v
+            continue
+        further = tuple(w for w in g.out(v) if w in on_dag and reach[w] == reach[v] + 1)
+        assert counted.steps[v] == further, v
+        # On the DAG these are also the out-neighbors one step closer to the target.
+        assert further == tuple(w for w in g.out(v) if rest[w] == rest[v] - 1), v
+        expected_ways = 1 if v == target else sum(counted.ways[w] for w in further)
+        assert counted.ways[v] == expected_ways > 0, v
+
+
+class CountedRows(tuple):
+    """Adjacency rows that count how often each row is read and the whole tuple iterated."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.reads = collections.Counter()
+        self.iterations = 0
+        return self
+
+    def __getitem__(self, i):
+        self.reads[i + 1] += 1  # rows are 0-based, vertices 1-based
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_reads_only_rows_nearer_than_the_target(seed):
+    g = random_digraph(40, 0.08, seed=seed)
+    counted_rows = CountedRows(g.neighbors)
+    source, target = 1, g.n
+    counted = count_shortest_paths(Digraph(counted_rows), source, target)
+    length = bfs_distance(g, source, target)  # 2 to 7 on these seeds
+    assert counted.length == length
+    reach = (bfs_distance(g, source, v) for v in range(1, g.n + 1))
+    nearer = {v for v, d in enumerate(reach, start=1) if d is not None and d < length}
+    assert set(counted_rows.reads) <= nearer
+    assert max(counted_rows.reads.values(), default=0) <= 2
+    assert counted_rows.iterations == 0
 
 
 def test_long_chain_within_the_recursion_limit():
@@ -266,3 +316,15 @@ def test_count_matches_plain_bfs_and_brute_force(case):
     assert_steps_are_the_dag(g, counted)
     ranked = [unrank_shortest_path(counted, k) for k in range(counted.count)]
     assert ranked == list(shortest_paths(counted)) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda g: count_shortest_paths(g, 0, 2), "vertex 0 outside 1..2", id="source"),
+    pytest.param(lambda g: count_shortest_paths(g, 1, 3), "vertex 3 outside 1..2", id="target"),
+    pytest.param(lambda g: shortest_distance(g, -1, 1), "vertex -1 outside 1..2", id="distance"),
+    pytest.param(lambda g: next(walk_rows(g, 3)), "vertex 3 outside 1..2", id="walk_rows"),
+])
+def test_vertices_outside_the_graph_raise(call, message):
+    with pytest.raises(ValueError) as raised:
+        call(g_from_edges(2, [(1, 2)]))
+    assert str(raised.value) == message

@@ -242,3 +242,23 @@ class TestConjectureReport:
 def test_format_recurrence_signs():
     rec = LinearRecurrence(3, (Fraction(39), Fraction(-337), Fraction(384)), 0, (1, 2, 3))
     assert format_recurrence(rec) == "39*a(i-1) - 337*a(i-2) + 384*a(i-3)"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: family_counts(FamilySpec(5, 3, 1, 0)),
+                 "need at least one term", id="no-terms"),
+    pytest.param(lambda: family_counts(FamilySpec(5, 3, 1, -2), start=0),
+                 "need at least one term", id="negative-terms"),
+    pytest.param(lambda: fit_linear_recurrence(list(range(10)), max_order=0),
+                 "max_order must be at least 1", id="order-zero"),
+    pytest.param(lambda: fit_linear_recurrence(list(range(10)), max_order=-1),
+                 "max_order must be at least 1", id="order-negative"),
+    pytest.param(lambda: rational_gf(LinearRecurrence(2, (1, 1), 1, (1, 1)), [0, 1]),
+                 "head too short: need the first 3 terms", id="short-head"),
+    pytest.param(lambda: rational_gf(LinearRecurrence(1, (2,), 0, (1,)), []),
+                 "head too short: need the first 1 terms", id="empty-head"),
+])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

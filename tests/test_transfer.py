@@ -381,3 +381,10 @@ class TestFormatting:
     ])
     def test_format_signed_sum(self, terms, text):
         assert format_signed_sum(terms) == text
+
+
+@pytest.mark.parametrize("stages", [-1, -4])
+def test_negative_trace_stages_raise(stages):
+    with pytest.raises(ValueError) as raised:
+        transfer_trace(classic_species(), stages)
+    assert str(raised.value) == "stages must be non-negative"

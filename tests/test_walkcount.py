@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from rivercross import McParams, mc_graph, walkcount
 from rivercross.digraph import (
     Digraph,
@@ -245,3 +247,10 @@ class TestSymbolic:
                         cell[grown] = cell.get(grown, 0) + coeff
             row = nxt
         assert set(row[n - 1].values()) == {1}
+
+
+@pytest.mark.parametrize("source, target", [(0, 2), (1, 3), (3, 1), (-1, -1)])
+def test_vertices_outside_the_graph_raise(source, target):
+    with pytest.raises(ValueError) as raised:
+        count_shortest_walks(complete_digraph(2), source, target)
+    assert str(raised.value) == "vertices must lie in 1..2"
