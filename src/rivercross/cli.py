@@ -3,6 +3,10 @@
 Exit codes: 0 for success (including a solvable instance), 2 when the instance
 is provably unsolvable, 1 on usage errors.  Text output is deterministic; JSON
 output carries a timing field unless --deterministic is given.
+
+Every usage error is reported before the first byte of stdout.  Text lines are
+written as they are produced, so a long listing is never held whole; JSON mode
+builds no text.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import functools
 import json
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
 from .digraph import PathCount, count_shortest_paths, shortest_paths, unrank_shortest_path
@@ -59,19 +63,22 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         started = time.perf_counter()
         try:
-            payload, status = args.handler(args)
+            # Each handler returns its exit status, its JSON fields and its text lines, lazily;
+            # this is the only branch on the format, and it builds only the one asked for.
+            status, payload, lines = args.handler(args)
+            if args.format == "json":
+                # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
+                payload = {key: value() if callable(value) else value
+                           for key, value in payload.items()}
+                meta = {"tool": "rivercross", "version": __version__}
+                if not args.deterministic:
+                    meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+                lines = [json.dumps({**payload, "meta": meta}, sort_keys=True, indent=2)]
         except ValueError as exc:  # ParamError included
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.format == "json":
-            payload.pop("text", None)
-            meta = {"tool": "rivercross", "version": __version__}
-            if not args.deterministic:
-                meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-            payload["meta"] = meta
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            print(payload["text"])
+        for line in lines:
+            print(line)
         return status
     finally:
         sys.set_int_max_str_digits(digits)
@@ -169,6 +176,10 @@ def _json_count(count: int):
     return count if abs(count) <= _INT64_MAX else str(count)
 
 
+def _json_terms(counts) -> list:
+    return [None if v is None else _json_count(v) for v in counts]
+
+
 def _counted(p: McParams) -> tuple[PathCount | None, tuple[SpeciesState, ...]]:
     """Shortest solutions counted on the distance DAG, and the states naming its vertices."""
     graph, states = mc_species(p).state_graph
@@ -180,49 +191,50 @@ def _solution(states: tuple[SpeciesState, ...], path: tuple[int, ...]) -> StateP
     return tuple(BankState(*vec, boat) for vec, boat in (states[v - 1] for v in path))
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
+def _cmd_solve(args):
     p = _params(args)
     counted, states = _counted(p)
-    payload: dict = {"command": "solve", "params": p._asdict()}
-    if counted is None:
-        payload.update({"solvable": False, "crossings": None, "count": None, "solutions": []})
-        payload["text"] = (f"{_params_line(p)}\n"
-                           "UNSOLVABLE: the goal is unreachable from the initial state")
-        return payload, EXIT_UNSOLVABLE
-    # The listing is lazy: without --all, only its first path, solution 0, is built.
-    paths = islice(shortest_paths(counted), None if args.all else 1)
-    shown = [_solution(states, path) for path in paths]
-    payload.update({
-        "solvable": True,
-        "crossings": counted.length,
-        "count": _json_count(counted.count),
-        "solutions": [[list(s) for s in sol] for sol in shown],
-    })
-    lines = [_params_line(p), f"crossings: {counted.length}", f"solutions: {counted.count}"]
-    for k, sol in enumerate(shown, start=1):
-        lines.append(f"solution {k}: " + " ".join(f"[{s[0]},{s[1]},{s[2]}]" for s in sol))
-    payload["text"] = "\n".join(lines)
-    return payload, EXIT_OK
+    payload: dict = {"command": "solve", "params": p._asdict(), "solvable": counted is not None,
+                     "crossings": None, "count": None, "solutions": []}
+    if counted is not None:
+        # The listing is lazy and read by one format only; without --all, only solution 0 is built.
+        paths = islice(shortest_paths(counted), None if args.all else 1)
+        payload.update(crossings=counted.length, count=_json_count(counted.count),
+                       solutions=lambda: [[list(s) for s in _solution(states, path)]
+                                          for path in paths])
+
+    def text():
+        yield _params_line(p)
+        if counted is None:
+            yield "UNSOLVABLE: the goal is unreachable from the initial state"
+            return
+        yield f"crossings: {counted.length}"
+        yield f"solutions: {counted.count}"
+        for k, path in enumerate(paths, start=1):
+            yield f"solution {k}: " + " ".join("[%d,%d,%d]" % s for s in _solution(states, path))
+
+    return EXIT_UNSOLVABLE if counted is None else EXIT_OK, payload, text()
 
 
-def _cmd_spell(args) -> tuple[dict, int]:
+def _cmd_spell(args):
     p = _params(args)
     counted, states = _counted(p)
-    payload: dict = {"command": "spell", "params": p._asdict(), "index": args.index}
-    if counted is None:
-        payload.update({"solvable": False, "transcript": []})
-        payload["text"] = f"{_params_line(p)}\nUNSOLVABLE: nothing to spell out"
-        return payload, EXIT_UNSOLVABLE
-    if not 0 <= args.index < counted.count:
-        raise ValueError(f"index {args.index} out of range: {counted.count} solutions exist")
-    transcript = spell_out(p, _solution(states, unrank_shortest_path(counted, args.index)))
-    payload.update({
-        "solvable": True,
-        "crossings": counted.length,
-        "transcript": transcript.split("\n"),
-    })
-    payload["text"] = transcript
-    return payload, EXIT_OK
+    payload: dict = {"command": "spell", "params": p._asdict(), "index": args.index,
+                     "solvable": counted is not None, "transcript": []}
+    if counted is not None:
+        if not 0 <= args.index < counted.count:
+            raise ValueError(f"index {args.index} out of range: {counted.count} solutions exist")
+        path = _solution(states, unrank_shortest_path(counted, args.index))
+        # The transcript is text in both formats; JSON carries its lines.
+        payload.update(crossings=counted.length, transcript=spell_out(p, path).split("\n"))
+
+    def text():
+        if counted is None:
+            yield _params_line(p)
+            yield "UNSOLVABLE: nothing to spell out"
+        yield from payload["transcript"]
+
+    return EXIT_UNSOLVABLE if counted is None else EXIT_OK, payload, text()
 
 
 def _count_by_method(p: McParams, method: str):
@@ -235,26 +247,31 @@ def _count_by_method(p: McParams, method: str):
     return (outcome.crossings, outcome.count) if outcome.solvable else None
 
 
-def _cmd_count(args) -> tuple[dict, int]:
+def _cmd_count(args):
     p = _params(args)
     result = _count_by_method(p, args.method)
-    payload: dict = {"command": "count", "params": p._asdict(), "method": args.method}
-    if result is None:
-        payload.update({"solvable": False, "crossings": None, "count": None})
-        payload["text"] = f"{_params_line(p)}\nmethod: {args.method}\nUNSOLVABLE"
-        return payload, EXIT_UNSOLVABLE
-    crossings, count = result
-    payload.update({"solvable": True, "crossings": crossings, "count": _json_count(count)})
-    payload["text"] = (f"{_params_line(p)}\nmethod: {args.method}\n"
-                       f"crossings: {crossings}\ncount: {count}")
-    return payload, EXIT_OK
+    payload: dict = {"command": "count", "params": p._asdict(), "method": args.method,
+                     "solvable": result is not None, "crossings": None, "count": None}
+    if result is not None:
+        payload.update(crossings=result[0], count=_json_count(result[1]))
+
+    def text():
+        yield _params_line(p)
+        yield f"method: {args.method}"
+        if result is None:
+            yield "UNSOLVABLE"
+        else:
+            yield f"crossings: {result[0]}"
+            yield f"count: {result[1]}"
+
+    return EXIT_UNSOLVABLE if result is None else EXIT_OK, payload, text()
 
 
 def _poly_json(poly) -> list:
     return [[poly[mono], list(mono)] for mono in sorted(poly, key=monomial_sort_key)]
 
 
-def _cmd_trace(args) -> tuple[dict, int]:
+def _cmd_trace(args):
     p = _params(args)
     if args.steps is not None and args.steps < 0:
         raise ValueError("stages must be non-negative")
@@ -263,33 +280,27 @@ def _cmd_trace(args) -> tuple[dict, int]:
     # Without --steps an unsolvable trace runs to the fallback bound, past the support fixpoint.
     stages = args.steps if args.steps is not None else (
         outcome.success_index if outcome.solvable else outcome.states_bound + 1)
-    initial = {sp.amounts: 1}
-    lines = [_params_line(p), f"f0 = {format_polynomial(initial)}"]
-    polys = {"f0": _poly_json(initial)}
     names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
     if outcome.solvable and args.steps is None:
         names.pop()  # the success stage ends on its forward polynomial
-    for name, poly in zip(names, trace):
-        lines.append(f"{name} = {format_polynomial(poly)}")
-        polys[name] = _poly_json(poly)
-    if args.steps is None:
-        if outcome.solvable:
-            lines.append(
-                f"success: constant term {outcome.count} at stage {outcome.success_index}; "
-                f"solvable in {outcome.crossings} crossings, {outcome.count} solutions")
-        else:
-            lines.append(
-                f"no constant term through stage {stages}; "
-                f"{outcome.states_bound} legal states, so the instance is UNSOLVABLE")
-    payload = {
-        "command": "trace",
-        "params": p._asdict(),
-        "solvable": outcome.solvable,
-        "states_bound": outcome.states_bound,
-        "polynomials": polys,
-        "text": "\n".join(lines),
-    }
-    return payload, EXIT_OK
+    # One lazy pass over the stages, read by one format only.
+    polys = chain([("f0", {sp.amounts: 1})], zip(names, trace))
+    payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
+               "states_bound": outcome.states_bound,
+               "polynomials": lambda: {name: _poly_json(poly) for name, poly in polys}}
+
+    def text():
+        yield _params_line(p)
+        for name, poly in polys:
+            yield f"{name} = {format_polynomial(poly)}"
+        if args.steps is None and outcome.solvable:
+            yield (f"success: constant term {outcome.count} at stage {outcome.success_index}; "
+                   f"solvable in {outcome.crossings} crossings, {outcome.count} solutions")
+        elif args.steps is None:
+            yield (f"no constant term through stage {stages}; "
+                   f"{outcome.states_bound} legal states, so the instance is UNSOLVABLE")
+
+    return EXIT_OK, payload, text()
 
 
 def _family(args) -> FamilySpec:
@@ -300,71 +311,54 @@ def _family(args) -> FamilySpec:
     return fs
 
 
-def _cmd_sequence(args) -> tuple[dict, int]:
+def _cmd_sequence(args):
     fs = _family(args)
     counts = family_counts(fs)
-    payload = {
-        "command": "sequence",
-        "family": fs._asdict(),
-        "terms": [None if v is None else _json_count(v) for v in counts],
-        "text": format_terms(counts),
-    }
-    return payload, EXIT_OK
+    payload = {"command": "sequence", "family": fs._asdict(), "terms": lambda: _json_terms(counts)}
+    return EXIT_OK, payload, (format_terms(terms) for terms in [counts])  # rendered when read
 
 
-def _cmd_conjecture(args) -> tuple[dict, int]:
+def _cmd_conjecture(args):
     fs = _family(args)
     report = conjecture_report(fs, args.max_order)
-    payload: dict = {
-        "command": "conjecture",
-        "family": fs._asdict(),
-        "terms": [None if v is None else _json_count(v) for v in report.counts],
-        "recurrence": None,
-        "gf": None,
-        "text": report.render(),
-    }
-    if report.recurrence is not None:
-        rec = report.recurrence
-        payload["recurrence"] = {
-            "order": rec.order,
-            "coefficients": [str(c) for c in rec.coefficients],
-            "valid_from_term": report.valid_from_term,
-        }
-        payload["gf"] = {
-            "numerator": list(report.gf.numerator),
-            "denominator": list(report.gf.denominator),
-        }
-        payload["series_ok"] = report.series_ok
-    return payload, EXIT_OK
+    rec, gf = report.recurrence, report.gf
+    payload: dict = {"command": "conjecture", "family": fs._asdict(),
+                     "terms": lambda: _json_terms(report.counts), "recurrence": None, "gf": None}
+    if rec is not None:
+        payload.update(
+            recurrence={"order": rec.order, "coefficients": [str(c) for c in rec.coefficients],
+                        "valid_from_term": report.valid_from_term},
+            gf={"numerator": list(gf.numerator), "denominator": list(gf.denominator)},
+            series_ok=report.series_ok)
+    return EXIT_OK, payload, (r.render() for r in [report])  # rendered when read
 
 
-def _cmd_strategy(args) -> tuple[dict, int]:
+def _cmd_strategy(args):
     p = _params(args)
     names = sorted(s.value for s in applicability(p))
     payload: dict = {"command": "strategy", "params": p._asdict(), "applicable": names}
-    if args.name is None:
-        text = f"{_params_line(p)}\napplicable: " + (" ".join(names) if names else "(none)")
-        payload["text"] = text
-        return payload, EXIT_OK
-    strategy = Strategy(args.name)
-    moves = build_strategy(p, strategy)
-    if moves is None:
-        payload.update({"name": args.name, "moves": None, "valid": None})
-        payload["text"] = f"{_params_line(p)}\n{args.name}: not applicable"
-        return payload, EXIT_OK
-    check = validate_solution(p, moves)
-    payload.update({
-        "name": args.name,
-        "moves": [[mv.missionaries, mv.cannibals, "F" if mv.forward else "B"] for mv in moves],
-        "move_count": len(moves),
-        "valid": check is None,
-    })
-    lines = [_params_line(p), f"{args.name}:"]
-    lines += [mv.render() for mv in moves]
-    lines.append(f"moves: {len(moves)}")
-    lines.append("valid: yes" if check is None else f"valid: NO ({check.rule} at {check.index})")
-    payload["text"] = "\n".join(lines)
-    return payload, EXIT_OK
+    moves = check = None
+    if args.name is not None:
+        moves = build_strategy(p, Strategy(args.name))
+        payload.update(name=args.name, moves=None, valid=None)
+    if moves is not None:
+        check = validate_solution(p, moves)
+        payload.update(moves=[[mv.missionaries, mv.cannibals, "F" if mv.forward else "B"]
+                              for mv in moves], move_count=len(moves), valid=check is None)
+
+    def text():
+        yield _params_line(p)
+        if args.name is None:
+            yield "applicable: " + (" ".join(names) if names else "(none)")
+        elif moves is None:
+            yield f"{args.name}: not applicable"
+        else:
+            yield f"{args.name}:"
+            yield from (mv.render() for mv in moves)
+            yield f"moves: {len(moves)}"
+            yield "valid: yes" if check is None else f"valid: NO ({check.rule} at {check.index})"
+
+    return EXIT_OK, payload, text()
 
 
 if __name__ == "__main__":

@@ -160,8 +160,13 @@ def walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], b
     `settled` says the support is empty or equals the support two rows back.
     Each support is the out-neighbourhood of the one before, so on any digraph
     the later supports then stay empty or alternate between the last two.
+    A source outside 1..n raises ValueError at the call, before any row is read.
     """
     _check_vertex(g, source)
+    return _walk_rows(g, source)
+
+
+def _walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], bool]]:
     out = ((),) + g.neighbors  # out[v]: the out-neighbours of vertex v
     counts, support = [0] * len(out), [source]
     counts[source] = 1

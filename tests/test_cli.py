@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -82,6 +83,20 @@ class TestExitCodes:
             assert (status, out) == (1, "")
             assert err == "error: max_order must be at least 1\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("spell", "3", "3", "2", "0", "--index", "4"),
+        ("trace", "3", "3", "2", "0", "--steps", "-1"),
+        ("sequence", "5", "3", "1", "0"),
+        ("conjecture", "5", "3", "1", "12", "--max-order", "0"),
+        ("solve", "3", "3", "2", "1"),    # ill-posed: the start bank breaks the margin
+        ("solve", "400", "400", "2", "0"),  # state box above the limit
+    ])
+    def test_errors_leave_stdout_empty(self, capsys, argv, fmt):
+        status, out, err = run(capsys, *argv, "--format", fmt)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["sequence", "conjecture"])
     def test_family_rejects_what_count_rejects(self, capsys, command):
         # Term 1 of surplus -1 is the instance (0, 1, 2, -3), which has no missionary.
@@ -139,10 +154,84 @@ class TestTrace:
             assert status == 0
             assert len(rows) == steps
 
+    def test_json_formats_no_polynomial(self, capsys, monkeypatch):
+        real = cli.format_polynomial
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return real(poly)
+
+        monkeypatch.setattr(cli, "format_polynomial", counted)
+        status, _, _ = run(capsys, "trace", "4", "4", "2", "0", "--format", "json")
+        assert (status, len(calls)) == (0, 0)
+        status, out, _ = run(capsys, "trace", "4", "4", "2", "0")
+        polynomial_lines = [line for line in out.splitlines() if " = " in line]
+        assert status == 0 and len(calls) == len(polynomial_lines) == 29  # f0, then g1..f14
+
     def test_negative_steps_is_usage_error(self, capsys):
         status, _, err = run(capsys, "trace", "3", "3", "2", "0", "--steps", "-1")
         assert status == 1
         assert "non-negative" in err
+
+
+class _Recorder(io.StringIO):
+    """A stdout that notes, for each line written, what `probe()` read at that moment."""
+
+    def __init__(self, probe):
+        super().__init__()
+        self.probe = probe
+        self.seen = []
+
+    def write(self, text):
+        if text != "\n":  # print writes its end separately
+            self.seen.append((text, self.probe()))
+        return super().write(text)
+
+
+class TestTextStreams:
+    """Text lines reach stdout as they are produced: a line never waits for the ones after it."""
+
+    def record(self, monkeypatch, probe, *argv):
+        recorder = _Recorder(probe)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(list(argv)) == 0
+        return recorder.seen
+
+    def test_solve_all_writes_each_solution_as_it_is_listed(self, monkeypatch):
+        real, pulled = cli.shortest_paths, []
+
+        def counted(dag):
+            for path in real(dag):
+                pulled.append(path)
+                yield path
+
+        monkeypatch.setattr(cli, "shortest_paths", counted)
+        seen = self.record(monkeypatch, lambda: len(pulled), "solve", "5", "5", "3", "0", "--all")
+        solutions = [(int(text.split(":")[0].split()[1]), n) for text, n in seen
+                     if text.startswith("solution ")]
+        assert len(solutions) == len(pulled) == 25
+        for k, n in solutions:
+            assert n <= k, (k, n)
+
+    def test_trace_writes_each_stage_as_its_row_is_read(self, monkeypatch):
+        real, rows = transfer.walk_rows, []
+
+        def counted(*args):
+            for row in real(*args):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(transfer, "walk_rows", counted)
+        transfer.solve_by_transfer(mc_species(McParams(4, 4, 2, 0)))
+        verdict = len(rows)  # the rows the verdict reads before any stage is printed
+        rows.clear()
+        seen = self.record(monkeypatch, lambda: len(rows),
+                           "trace", "4", "4", "2", "0", "--steps", "20")
+        stages = [n for text, n in seen if text[0] in "fg" and not text.startswith("f0 ")]
+        assert len(stages) == len(rows) == 40 > verdict
+        for j, n in enumerate(stages, start=1):
+            assert n <= max(j, verdict), (j, n)
 
 
 class TestJson:
