@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for success (including a solvable instance), 2 when the instance
-is provably unsolvable, 1 on usage errors.  Text output is deterministic; JSON
-output carries a timing field unless --deterministic is given.
+is provably unsolvable, 1 on usage errors.  A stdout closed before the output
+ends (`| head`) stops the command quietly with status 1.  Text output is
+deterministic; JSON output carries a timing field unless --deterministic is given.
 
 Every usage error is reported before the first byte of stdout.  Text lines are
 written as they are produced, so a long listing is never held whole; JSON mode
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .digraph import PathCount, count_shortest_paths, shortest_paths, unrank_shortest_path
-from .families import FamilySpec, conjecture_report, family_counts, family_params, format_terms
 from .puzzle import (
     BankState,
     McParams,
@@ -32,7 +32,9 @@ from .puzzle import (
     validate_solution,
 )
 from .strategies import Strategy, applicability, build_strategy
-from .transfer import format_polynomial, monomial_sort_key, solve_and_trace, solve_by_transfer
+
+if TYPE_CHECKING:
+    from .families import FamilySpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +56,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # after --help or --version, a closed pipe raises here, not at exit
+        super().exit(status, message)
+
 
 def main(argv: list[str] | None = None) -> int:
     # Counts can outgrow the 4,300 digits Python converts to decimal by default.
@@ -67,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             # this is the only branch on the format, and it builds only the one asked for.
             status, payload, lines = args.handler(args)
             if args.format == "json":
+                import json
                 # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
                 payload = {key: value() if callable(value) else value
                            for key, value in payload.items()}
@@ -79,7 +86,18 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         for line in lines:
             print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
+    except BrokenPipeError:
+        if sys.stdout is not sys.__stdout__:
+            raise  # a stream the caller put in place is the caller's to handle
+        # The reader has gone (`| head`).  Closing the stream drops what it still
+        # holds, so the flush at exit cannot fail; descriptor 1 stays open.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 1  # Python's own exit status on a broken pipe
     finally:
         sys.set_int_max_str_digits(digits)
 
@@ -243,6 +261,7 @@ def _count_by_method(p: McParams, method: str):
         counted, _ = _counted(p)
         return None if counted is None else (counted.length, counted.count)
     # The matrix walk and the transfer are one meeting in the middle on one compile.
+    from .transfer import solve_by_transfer
     outcome = solve_by_transfer(mc_species(p))
     return (outcome.crossings, outcome.count) if outcome.solvable else None
 
@@ -268,10 +287,12 @@ def _cmd_count(args):
 
 
 def _poly_json(poly) -> list:
+    from .transfer import monomial_sort_key
     return [[poly[mono], list(mono)] for mono in sorted(poly, key=monomial_sort_key)]
 
 
 def _cmd_trace(args):
+    from .transfer import format_polynomial, solve_and_trace
     p = _params(args)
     if args.steps is not None and args.steps < 0:
         raise ValueError("stages must be non-negative")
@@ -304,6 +325,7 @@ def _cmd_trace(args):
 
 
 def _family(args) -> FamilySpec:
+    from .families import FamilySpec, family_params
     fs = FamilySpec(args.surplus, args.boat, args.margin, args.terms)
     if fs.num_terms < 1:
         raise ValueError("need at least one term")
@@ -312,6 +334,7 @@ def _family(args) -> FamilySpec:
 
 
 def _cmd_sequence(args):
+    from .families import family_counts, format_terms
     fs = _family(args)
     counts = family_counts(fs)
     payload = {"command": "sequence", "family": fs._asdict(), "terms": lambda: _json_terms(counts)}
@@ -319,6 +342,7 @@ def _cmd_sequence(args):
 
 
 def _cmd_conjecture(args):
+    from .families import conjecture_report
     fs = _family(args)
     report = conjecture_report(fs, args.max_order)
     rec, gf = report.recurrence, report.gf

@@ -9,12 +9,10 @@ shortest-path DAG that `count_shortest_paths` builds once and that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(NamedTuple):
     """Adjacency structure: neighbors[i-1] is the sorted tuple of out-neighbors of vertex i."""
 
     neighbors: tuple[tuple[int, ...], ...]

@@ -11,7 +11,6 @@ Fits remain conjectures; nothing here constitutes a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -28,8 +27,7 @@ class FamilySpec(NamedTuple):
     num_terms: int
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(NamedTuple):
     """a(n) = sum of coefficients[j-1] * a(n-j), holding for n >= offset + order.
 
     Indices refer to the sequence the recurrence was fitted against; `initial`
@@ -45,8 +43,7 @@ class LinearRecurrence:
         return seq[n] == sum(c * seq[n - j] for j, c in enumerate(self.coefficients, start=1))
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(NamedTuple):
     """Numerator and denominator coefficients, ascending powers, exact integers."""
 
     numerator: tuple[int, ...]
@@ -170,8 +167,7 @@ def series_coefficients(gf: RationalGF, count: int):
     return [int(v) if v.denominator == 1 else v for v in acc]
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     family: FamilySpec
     counts: tuple[int | None, ...]
     recurrence: LinearRecurrence | None

@@ -10,7 +10,6 @@ wolf-goat-cabbage through caller-supplied bank and boat predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 from operator import add, mul
@@ -81,8 +80,16 @@ BankRule = Callable[[tuple[int, ...], bool], bool]
 BoatRule = Callable[[tuple[int, ...]], bool]
 
 
-@dataclass(frozen=True)
-class SpeciesPuzzle:
+class _SpeciesFields(NamedTuple):
+    names: tuple[str, ...]
+    amounts: tuple[int, ...]
+    boat_capacity: int
+    bank_rule: BankRule
+    boat_rule: BoatRule
+    allow_empty_boat: bool = False
+
+
+class SpeciesPuzzle(_SpeciesFields):
     """A k-species river crossing.
 
     `bank_rule(populations, boat_present)` decides whether a bank holding the
@@ -90,14 +97,10 @@ class SpeciesPuzzle:
     may ride the boat (loads are already size-limited by `boat_capacity`).
     `allow_empty_boat` lets the boat cross with no cargo, which puzzles with an
     implicit ferryman (wolf-goat-cabbage) require.
-    """
 
-    names: tuple[str, ...]
-    amounts: tuple[int, ...]
-    boat_capacity: int
-    bank_rule: BankRule
-    boat_rule: BoatRule
-    allow_empty_boat: bool = False
+    The fields are a NamedTuple's; this subclass gives each instance the
+    `__dict__` that `cached_property` stores in.  `_replace` compiles afresh.
+    """
 
     @cached_property
     def state_graph(self) -> tuple[Digraph, tuple[SpeciesState, ...]]:
@@ -275,8 +278,7 @@ def path_to_moves(path: StatePath) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     index: int
     rule: str
     message: str

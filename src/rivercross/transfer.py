@@ -25,20 +25,20 @@ number of states: a shortest solution visits no state twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import tee
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .digraph import meet_in_the_middle, walk_rows
 from .puzzle import SpeciesPuzzle
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponents = tuple[int, ...]
 Polynomial = dict[Exponents, int]
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
+class TransferOutcome(NamedTuple):
     """The verdict of the transfer iteration.
 
     `iterations_run` counts the stages whose rows were computed, through the
@@ -53,8 +53,7 @@ class TransferOutcome:
     iterations_run: int
 
 
-@dataclass(frozen=True)
-class TransferTrace:
+class TransferTrace(NamedTuple):
     """The polynomials of the first `len(steps)` stages: initial, then (forward, back) pairs."""
 
     initial: Polynomial

@@ -155,14 +155,14 @@ class TestTrace:
             assert len(rows) == steps
 
     def test_json_formats_no_polynomial(self, capsys, monkeypatch):
-        real = cli.format_polynomial
+        real = transfer.format_polynomial
         calls = []
 
         def counted(poly):
             calls.append(poly)
             return real(poly)
 
-        monkeypatch.setattr(cli, "format_polynomial", counted)
+        monkeypatch.setattr(transfer, "format_polynomial", counted)
         status, _, _ = run(capsys, "trace", "4", "4", "2", "0", "--format", "json")
         assert (status, len(calls)) == (0, 0)
         status, out, _ = run(capsys, "trace", "4", "4", "2", "0")
@@ -435,3 +435,38 @@ class TestBoundedBySize:
         assert (status, out) == (1, "")
         assert err.startswith("error: state box (M+1)(C+1) = ")
         assert f"above the limit {MAX_STATE_BOX}" in err
+
+
+class TestClosedStdout:
+    """A reader that stops early (`| head`) ends the command quietly, with status 1."""
+
+    @pytest.mark.parametrize("entry", [
+        ["-m", "rivercross.cli"],
+        ["-c", "import sys; from rivercross.cli import main; sys.exit(main())"],  # console script
+    ])
+    @pytest.mark.parametrize("argv, first", [
+        (["solve", "6", "5", "2", "-1", "--all"], [b"M=6 C=5 B=2 d=-1\n", b"crossings: 19\n"]),
+        (["--help"], []),  # argparse prints, then exits
+    ])
+    def test_exits_quietly_after_the_lines_read(self, entry, argv, first):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered on a pipe, as from a shell
+        proc = subprocess.Popen([sys.executable, *entry, *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        lines = [proc.stdout.readline() for _ in first]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert lines == first
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_a_stream_the_caller_set_is_left_to_the_caller(self, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stream = Closed()
+        monkeypatch.setattr(sys, "stdout", stream)
+        with pytest.raises(BrokenPipeError):
+            main(["solve", "3", "3", "2", "0"])
+        assert not stream.closed

@@ -1,6 +1,16 @@
-"""Package modules share only public names with each other."""
+"""Package modules share only public names with each other, and each command imports
+only what it runs.
+
+The cold-import checks run each command line in a fresh interpreter, so they
+also run without pytest (exit status 1 on a fault):
+
+    PYTHONPATH=src python tests/test_imports.py
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "rivercross"
@@ -49,3 +59,101 @@ def test_oracles_import_only_data_types():
     names = package_imports(ORACLE_MODULE)
     assert names
     assert sorted(set(names) - DATA_TYPES) == []
+
+
+# Modules that a command loads only when it runs them; a name covers its submodules.
+DEFERRED = ("dataclasses", "inspect", "fractions", "json",
+            "rivercross.families", "rivercross.transfer")
+
+# Each command line, run as `python -m rivercross.cli`, and the DEFERRED modules it may load.
+COLD_COMMANDS = [
+    ("solve 3 3 2 0", ()),
+    ("spell 3 3 2 0", ()),
+    ("strategy 7 7 4 0 --name ZeroMarginEqualBigBoat", ()),
+    ("count 3 3 2 0 --method graph", ()),
+    ("--help", ()),
+    ("count 3 3 2 0", ("rivercross.transfer",)),
+    ("solve 3 3 2 0 --format json", ("json",)),
+]
+
+EXPORTS = [
+    "BankState", "ConjectureReport", "Digraph", "FamilySpec", "LinearRecurrence", "McParams",
+    "Move", "ParamError", "PathCount", "RationalGF", "SpeciesPuzzle", "Strategy",
+    "TransferOutcome", "Violation", "applicability", "build_strategy", "conjecture_report",
+    "count_shortest_paths", "family_counts", "fit_linear_recurrence", "format_polynomial",
+    "mc_graph", "mc_species", "path_to_moves", "rational_gf", "series_coefficients",
+    "shortest_distance", "shortest_paths", "solve_by_transfer", "solve_mc", "solve_species",
+    "species_graph", "spell_out", "unrank_shortest_path", "validate_params",
+    "validate_solution", "wolf_goat_cabbage",
+]
+SUBMODULES = ["digraph", "families", "puzzle", "strategies", "transfer"]
+
+# Runs the CLI as `-m` does and prints the loaded modules as the last stdout line.
+_RUN_CLI = """import runpy, sys
+try:
+    runpy.run_module("rivercross.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(sorted(sys.modules))
+"""
+
+# Imports the bare package and prints what it got wrong, one fault a line.
+_CHECK_EXPORTS = """import sys
+import rivercross
+if any(name.startswith("rivercross.") for name in sys.modules):
+    print("import rivercross loaded a submodule")
+if getattr(rivercross, "__all__", None) != sys.argv[1].split():
+    print("__all__ is not the exports")
+for name in sys.argv[1].split() + sys.argv[2].split():
+    if name not in dir(rivercross):
+        print(name, "missing from dir()")
+    try:
+        getattr(rivercross, name)
+    except AttributeError:
+        print(name, "does not resolve")
+try:
+    rivercross.no_such_name
+    print("an unknown name resolves")
+except AttributeError:
+    pass
+"""
+
+
+def _child(*argv: str) -> str:
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    if done.returncode:
+        raise RuntimeError(f"child exited {done.returncode}: {done.stderr}")
+    return done.stdout
+
+
+def _within(module: str, names) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in names)
+
+
+def cold_import_faults() -> list[str]:
+    """Each command line that loads a DEFERRED module it does not run, and each fault of the
+    package's lazy exports; empty when the contract holds."""
+    bare = set(ast.literal_eval(_child("-c", "import sys; print(sorted(sys.modules))")))
+    faults = []
+    for command, allowed in COLD_COMMANDS:
+        loaded = set(ast.literal_eval(_child("-c", _RUN_CLI, *command.split()).splitlines()[-1]))
+        extra = sorted(m for m in loaded - bare if _within(m, DEFERRED) and not _within(m, allowed))
+        if extra:
+            faults.append(f"{command}: loads {extra}")
+    faults += _child("-c", _CHECK_EXPORTS, " ".join(EXPORTS), " ".join(SUBMODULES)).splitlines()
+    return faults
+
+
+def test_each_command_imports_only_what_it_runs():
+    assert cold_import_faults() == []
+
+
+if __name__ == "__main__":
+    found = cold_import_faults()
+    print(f"{len(COLD_COMMANDS)} command lines and the package exports, "
+          f"{len(found)} faults", *found, sep="\n")
+    sys.exit(1 if found else 0)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -405,7 +404,7 @@ class TestCompiledGraph:
         puzzles += [mc_species(p) for p in grid_instances(4, 4, 3, 1)]
         for sp in puzzles:
             for empty in (False, True):
-                variant = dataclasses.replace(sp, allow_empty_boat=empty)
+                variant = sp._replace(allow_empty_boat=empty)
                 assert species_graph(variant) == reference_species_graph(variant), (
                     sp.names, sp.amounts, empty)
 
@@ -420,7 +419,7 @@ class TestMirror:
 
     def test_complements_mirror_vertices_and_edges(self):
         puzzles = list(verdict_puzzles())
-        puzzles += [dataclasses.replace(sp, allow_empty_boat=empty)
+        puzzles += [sp._replace(allow_empty_boat=empty)
                     for sp in (wolf_goat_cabbage(), boat_side_pairs(),
                                three_species(False), three_species(True))
                     for empty in (False, True)]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -151,7 +150,7 @@ class TestCleanup:
             checks[vec, boat_present] += 1
             return mc.bank_rule(vec, boat_present)
 
-        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        sp = mc._replace(bank_rule=counted_rule)
         assert sp.state_graph
         checks.clear()
         poly = {(3, 3): 1, (2, 2): 2, (1, 2): 3, (2, 3): 4, (4, 0): 5, (-1, 2): 6, (0, 1): 0}
@@ -159,7 +158,7 @@ class TestCleanup:
         assert sum(checks.values()) == 0
 
     def test_ill_posed_puzzle_raises(self):
-        sp = dataclasses.replace(classic_species(), bank_rule=lambda v, boat: v[0] == 0)
+        sp = classic_species()._replace(bank_rule=lambda v, boat: v[0] == 0)
         with pytest.raises(ValueError, match="initial position"):
             cleanup({}, sp, True)
 
@@ -198,7 +197,7 @@ class TestSuccessorTable:
             checks[vec, boat_present] += 1
             return mc.bank_rule(vec, boat_present)
 
-        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        sp = mc._replace(bank_rule=counted_rule)
         rows = counted_rows(monkeypatch)
         out = solve_by_transfer(sp)
         assert not out.solvable and out.iterations_run == 16
@@ -216,7 +215,7 @@ class TestSuccessorTable:
             calls[vec, boat_present] += 1
             return mc.bank_rule(vec, boat_present)
 
-        sp = dataclasses.replace(mc, bank_rule=counted_rule)
+        sp = mc._replace(bank_rule=counted_rule)
         crossings, solutions = solve_species(sp)
         out = solve_by_transfer(sp)
         assert (out.crossings, out.count) == (crossings, len(solutions))
