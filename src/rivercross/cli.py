@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for success (including a solvable instance), 2 when the instance
-is provably unsolvable, 1 on usage errors.  A stdout closed before the output
-ends (`| head`) stops the command quietly with status 1.  Text output is
-deterministic; JSON output carries a timing field unless --deterministic is given.
+is provably unsolvable, 1 on usage errors.  A stdout closed before the output ends
+(`| head`), after `--help` or `--version` too, stops the command quietly with status 1.
+Text output is deterministic; JSON output carries a timing field unless --deterministic is given.
 
 Every usage error is reported before the first byte of stdout.  Text lines are
 written as they are produced, so a long listing is never held whole; JSON mode
@@ -59,6 +59,11 @@ class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
         sys.stdout.flush()  # after --help or --version, a closed pipe raises here, not at exit
         super().exit(status, message)
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr  # unlike argparse, lets an OSError (a closed stdout) reach `main`
+        if message and file is not None:  # no stream at all, as argparse allows
+            file.write(message)
 
 
 def main(argv: list[str] | None = None) -> int:

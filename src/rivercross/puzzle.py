@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress, product
+from math import prod
 from operator import add, mul
 from typing import Callable, NamedTuple
 
@@ -177,48 +178,57 @@ def wolf_goat_cabbage() -> SpeciesPuzzle:
 
 
 def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]:
-    """State graph of a species puzzle.
+    """State graph of a species puzzle, compiled as rule tables, then numbering, then wiring.
 
-    Vertex 1 is the initial state (everyone and the boat on the start bank),
-    vertex n the goal (everyone and the boat across); the remaining legal
-    states sit between them in lexicographic order, so numbering is
-    reproducible.  It is palindromic: vertex n+1-v is the complement of v
-    (banks swapped, boat flipped), every edge flips the boat, and u -> v is an
-    edge exactly when n+1-v -> n+1-u is one.  `meet_in_the_middle` relies on it.
+    It is palindromic: vertex n+1-v is the complement of v (banks swapped, boat flipped), every
+    edge flips the boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.
+    `meet_in_the_middle` relies on it.  Raises ValueError when the puzzle is ill-posed."""
+    present, absent = _rule_tables(sp)
+    states = _legal_states(sp.amounts, present, absent)
+    return Digraph(_crossings(sp, states)), states
 
-    The puzzle is compiled on integer indices.  Vector i of the box, in the
-    lexicographic order of `product`, has its far bank at vector N-1-i, so
-    `bank_rule` runs once per vector and boat side.  A crossing subtracts
-    (forward) or adds (back) the load's mixed-radix offset, on a radix padded
-    so that a load fits exactly when it lands on a legal state.
 
-    Raises ValueError when the initial position itself is unsafe: such a
-    puzzle is ill-posed, not unsolvable.
-    """
-    amounts = sp.amounts
-    boxes = [range(a + 1) for a in amounts]
+def _rule_tables(sp: SpeciesPuzzle) -> tuple[list[bool], list[bool]]:
+    """`bank_rule` on each vector of the box, in `product` order, with the boat and without.
+
+    Vector i has its far bank at vector N-1-i, so the rule runs once per vector and boat side.
+    Raises ValueError when the initial position itself is unsafe: such a puzzle is ill-posed,
+    not unsolvable."""
+    boxes = [range(a + 1) for a in sp.amounts]
     present = [sp.bank_rule(vec, True) for vec in product(*boxes)]
     absent = [sp.bank_rule(vec, False) for vec in product(*boxes)]
-    last = len(present) - 1
-    if not (present[last] and absent[0]):
+    if not (present[-1] and absent[0]):
         raise ValueError("initial position violates the bank rule")
+    return present, absent
+
+
+def _legal_states(amounts: tuple, present: list, absent: list) -> tuple[SpeciesState, ...]:
+    """The legal states in vertex order, so numbering is reproducible.
+
+    Vertex 1 is the initial state (everyone and the boat on the start bank), vertex n the goal
+    (everyone and the boat across); the others sit between them in lexicographic order."""
+    last = len(present) - 1
     order = [(last, 1)]  # the initial state; the goal (0, 0) comes last
     order += sorted([(i, 0) for i in compress(range(1, last + 1), absent[1:]) if present[last - i]]
                     + [(i, 1) for i in compress(range(last), present) if absent[last - i]])
     order.append((0, 0))
-    # weights[k] moves i by one of species k; padded[k] does so on a radix with spare[k]
-    # more values either side of digit k, where a crossing never borrows or carries.
-    spare = [min(a, sp.boat_capacity) for a in amounts]
-    weights, padded = [1] * len(amounts), [1] * len(amounts)
-    for k in range(len(amounts) - 2, -1, -1):
-        weights[k] = weights[k + 1] * (amounts[k + 1] + 1)
-        padded[k] = padded[k + 1] * (amounts[k + 1] + 1 + 2 * spare[k + 1])
-    # Only the legal states' vectors are decoded; the box's are never held at once.
-    states = tuple((tuple([i // w % (a + 1) for w, a in zip(weights, amounts)]), flag)
-                   for i, flag in order)
+    # weights[k] moves i by one of species k.  Only the legal states' vectors are
+    # decoded; the box's are never held at once.
+    weights = [prod(a + 1 for a in amounts[k + 1:]) for k in range(len(amounts))]
+    return tuple((tuple([i // w % (a + 1) for w, a in zip(weights, amounts)]), flag)
+                 for i, flag in order)
+
+
+def _crossings(sp: SpeciesPuzzle, states: tuple[SpeciesState, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each state's sorted row of successors.  A crossing subtracts (forward) or adds (back)
+    the load's mixed-radix offset, on a radix padded so that a load fits exactly when it
+    lands on a legal state."""
+    # padded is the radix with spare[k] more values either side of digit k: no crossing carries.
+    spare = [min(a, sp.boat_capacity) for a in sp.amounts]
+    sizes = [a + 1 + 2 * s for a, s in zip(sp.amounts, spare)]
+    padded = [prod(sizes[k + 1:]) for k in range(len(sizes))]
     spots = [sum(map(mul, map(add, vec, spare), padded)) for vec, _ in states]
-    size = padded[0] * (amounts[0] + 1 + 2 * spare[0])
-    vertex = ([0] * size, [0] * size)  # vertex[flag][spot], 0 for an illegal or off-box state
+    vertex = ([0] * prod(sizes), [0] * prod(sizes))  # vertex[flag][spot], 0 off the legal states
     for v, (spot, (_, flag)) in enumerate(zip(spots, states), start=1):
         vertex[flag][spot] = v
     # A load that the leaving bank cannot hold lands off the box, on a 0.
@@ -230,7 +240,7 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
         row = [j for shift in shifts[flag] if (j := into[spot + shift])]
         row.sort()
         rows.append(tuple(row))
-    return Digraph(tuple(rows)), states
+    return tuple(rows)
 
 
 def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:

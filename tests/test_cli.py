@@ -460,6 +460,24 @@ class TestClosedStdout:
         assert lines == first
         assert (proc.returncode, err) == (1, b"")
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+    def test_help_into_a_closed_pipe_gives_one_status(self, argv, unbuffered):
+        """argparse's own write fails at once when stdout is unbuffered; the status is still 1."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader has gone before the first byte
+        try:
+            done = subprocess.run([sys.executable, "-m", "rivercross.cli", *argv], stdout=writer,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (1, b"")
+
     def test_a_stream_the_caller_set_is_left_to_the_caller(self, monkeypatch):
         class Closed(io.StringIO):
             def write(self, text):

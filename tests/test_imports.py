@@ -38,6 +38,38 @@ def test_no_module_imports_a_private_name():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def functions_that(touches) -> set[str]:
+    """Qualified names of the package functions with a node for which `touches(node)` holds."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                if touches(child):
+                    found.add(scope)
+                visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_one_function_reads_the_bank_rule_and_one_compiles():
+    """The rule tables are the only reader of `bank_rule`, and `state_graph` the only compiler."""
+    def reads_bank_rule(node):
+        return isinstance(node, ast.Attribute) and node.attr == "bank_rule"
+
+    def calls_species_graph(node):
+        callee = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "species_graph" in (
+            getattr(callee, "id", None), getattr(callee, "attr", None))
+
+    assert functions_that(reads_bank_rule) == {"_rule_tables"}
+    assert functions_that(calls_species_graph) == {"SpeciesPuzzle.state_graph"}
+
+
 # What the test oracles may take from the package: data types and type aliases.
 ORACLE_MODULE = Path(__file__).parent / "reference.py"
 DATA_TYPES = {"SpeciesPuzzle", "McParams", "Digraph", "Polynomial"}
