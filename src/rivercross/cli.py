@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 import time
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -299,18 +299,8 @@ def _poly_json(poly) -> list:
 def _cmd_trace(args):
     from .transfer import format_polynomial, solve_and_trace
     p = _params(args)
-    if args.steps is not None and args.steps < 0:
-        raise ValueError("stages must be non-negative")
-    sp = mc_species(p)
-    outcome, trace = solve_and_trace(sp)
-    # Without --steps an unsolvable trace runs to the fallback bound, past the support fixpoint.
-    stages = args.steps if args.steps is not None else (
-        outcome.success_index if outcome.solvable else outcome.states_bound + 1)
-    names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
-    if outcome.solvable and args.steps is None:
-        names.pop()  # the success stage ends on its forward polynomial
     # One lazy pass over the stages, read by one format only.
-    polys = chain([("f0", {sp.amounts: 1})], zip(names, trace))
+    outcome, stages, polys = solve_and_trace(mc_species(p), args.steps)
     payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
                "states_bound": outcome.states_bound,
                "polynomials": lambda: {name: _poly_json(poly) for name, poly in polys}}

@@ -192,8 +192,10 @@ def _rule_tables(sp: SpeciesPuzzle) -> tuple[list[bool], list[bool]]:
     """`bank_rule` on each vector of the box, in `product` order, with the boat and without.
 
     Vector i has its far bank at vector N-1-i, so the rule runs once per vector and boat side.
-    Raises ValueError when the initial position itself is unsafe: such a puzzle is ill-posed,
-    not unsolvable."""
+    Raises ValueError on a negative amount, or when the initial position itself is unsafe: such
+    a puzzle is ill-posed, not unsolvable."""
+    if min(sp.amounts, default=0) < 0:
+        raise ValueError(f"amounts must be non-negative, got {sp.amounts}")
     boxes = [range(a + 1) for a in sp.amounts]
     present = [sp.bank_rule(vec, True) for vec in product(*boxes)]
     absent = [sp.bank_rule(vec, False) for vec in product(*boxes)]

@@ -8,7 +8,8 @@ its successors are what survives one crossing, so the stages are the rows of
 the graph's adjacency powers from the initial state (the transfer-matrix
 method), read from `digraph.walk_rows` on the puzzle's `state_graph`.  The
 first forward stage g_i with a constant term proves the puzzle solvable, and
-that term is the exact number of shortest solutions.
+that term is the exact number of shortest solutions.  `solve_and_trace(sp, steps)`,
+the trace's one entry, names the stages and picks the default length.
 
 The verdict meets the stages in the middle (`digraph.meet_in_the_middle`):
 a solution is a walk from the start met by the mirror image of another, so
@@ -25,7 +26,7 @@ number of states: a shortest solution visits no state twice.
 
 from __future__ import annotations
 
-from itertools import tee
+from itertools import chain, tee
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .digraph import meet_in_the_middle, walk_rows
@@ -102,13 +103,20 @@ def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
     return _verdict(sp, walk_rows(sp.state_graph[0], 1))
 
 
-def solve_and_trace(sp: SpeciesPuzzle) -> tuple[TransferOutcome, Iterator[Polynomial]]:
-    """The verdict of `solve_by_transfer` and the polynomials g1, f1, g2, f2, ... of one pass.
+def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
+                    ) -> tuple[TransferOutcome, int, Iterator[tuple[str, Polynomial]]]:
+    """The verdict, the stage count, and the stages ("f0", poly), ("g1", poly), ... of one pass.
 
-    The rows the verdict read are replayed; later ones are computed on demand.
-    """
-    verdict_reads, trace = tee(walk_rows(sp.state_graph[0], 1))
-    return _verdict(sp, verdict_reads), _polynomials(sp, trace)
+    They run through stage `steps`, else the success stage's g, else stage `states_bound + 1`."""
+    if steps is not None and steps < 0:
+        raise ValueError("stages must be non-negative")
+    verdict_reads, rows = tee(walk_rows(sp.state_graph[0], 1))
+    outcome = _verdict(sp, verdict_reads)
+    stages = steps if steps is not None else outcome.success_index or outcome.states_bound + 1
+    names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
+    if outcome.solvable and steps is None:
+        names.pop()  # the success stage ends on its forward polynomial
+    return outcome, stages, chain([("f0", {sp.amounts: 1})], zip(names, _polynomials(sp, rows)))
 
 
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:

@@ -15,8 +15,11 @@ does, it exits 0.  The workload is what the byte-identity corpus
   three-species puzzles whose bank rules read the boat side, with
   `allow_empty_boat` both ways;
 - `solve --all` at d = -1 for M, C <= 5, B 2..4, in text and JSON;
-- `sequence` over surplus -2..6, B 1..4, d -1..2 with 1, 5 and 14 terms, in
-  text and JSON.
+- `trace` on M, C 7..12, B 2..5, d -1..2, beyond the corpus grid, at its
+  default length and with `--steps 5`, in text and JSON;
+- `sequence` over surplus -2..6, B 1..4, d -1..2 with 1, 5 and 14 terms, and
+  `conjecture` over the same grid with 14 terms, by default and with
+  `--max-order 2`, in text and JSON.
 
 Stdlib only.  It takes under a minute on a 2-core VM, so it stays out of
 tier-1 (pytest collects only `test_*.py`); CI runs it on pull requests.
@@ -100,8 +103,16 @@ def workload():
     for m, c, b, fmt in product(range(1, 6), range(1, 6), range(2, 5), formats):
         argv = ["solve", str(m), str(c), str(b), "-1", "--all", *fmt]
         yield "cli " + " ".join(argv), cli(argv)
+    for m, c, b, d, steps, fmt in product(range(7, 13), range(7, 13), range(2, 6), range(-1, 3),
+                                          ([], ["--steps", "5"]), formats):
+        argv = ["trace", str(m), str(c), str(b), str(d), *steps, *fmt]
+        yield "cli " + " ".join(argv), cli(argv)
     for s, b, d, n, fmt in product(range(-2, 7), range(1, 5), range(-1, 3), (1, 5, 14), formats):
         argv = ["sequence", str(s), str(b), str(d), str(n), *fmt]
+        yield "cli " + " ".join(argv), cli(argv)
+    for s, b, d, order, fmt in product(range(-2, 7), range(1, 5), range(-1, 3),
+                                       ([], ["--max-order", "2"]), formats):
+        argv = ["conjecture", str(s), str(b), str(d), "14", *order, *fmt]
         yield "cli " + " ".join(argv), cli(argv)
 
 

@@ -2,6 +2,7 @@
 
 `tests/corpus/digests.json` maps each command line to a short sha256 over its
 argv, exit status, stdout and stderr, so a failure names the lines that moved.
+The corpus runs at `COLUMNS=80`, so `--help` wraps alike on every terminal.
 The digests change only with a deliberate change of output.  To check them
 without pytest (exit status 1 when a line moved), or to rebuild them:
 
@@ -13,11 +14,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 from rivercross import McParams, Strategy, mc_species, solve_by_transfer, validate_params
+from rivercross import cli
 from rivercross.cli import main
 
 DIGESTS = Path(__file__).parent / "corpus" / "digests.json"
@@ -70,20 +74,31 @@ def command_lines():
     ]
     for argv, fmt in product(singles, formats):
         yield argv + fmt
+    yield ["--help"]
+    for command in ("solve", "spell", "count", "trace", "sequence", "conjecture", "strategy"):
+        yield [command, "--help"]
 
 
 def digest(argv):
     """Short sha256 over argv, exit status, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(list(argv))
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # --help
+            status = f"SystemExit({exc.code})"
     blob = json.dumps([argv, status, out.getvalue(), err.getvalue()]).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def digests():
-    """{command line: digest} over the whole corpus."""
-    return {" ".join(argv): digest(argv) for argv in command_lines()}
+    """{command line: digest} over the whole corpus, with the parser built at 80 columns."""
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        cli._parser.cache_clear()  # the parser is cached; a later caller builds its own
+        try:
+            return {" ".join(argv): digest(argv) for argv in command_lines()}
+        finally:
+            cli._parser.cache_clear()
 
 
 def moved_lines(found, expected):

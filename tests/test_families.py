@@ -50,6 +50,11 @@ class TestFamilyCounts:
         with pytest.raises(ParamError, match="need at least 1 missionary, got 0"):
             conjecture_report(FamilySpec(-1, 2, -3, 12), 4)
 
+    def test_negative_start_rejected(self):
+        # Term -1 is (4, -1, 3, 1): a negative amount is refused before it is compiled.
+        with pytest.raises(ValueError, match="amounts must be non-negative"):
+            family_counts(FamilySpec(5, 3, 1, 4), start=-1)
+
     def test_start_zero_prepends_cannibal_free_instance(self):
         counts = family_counts(FamilySpec(9, 2, 0, 2), start=0)
         assert counts[0] == 1  # lone caravan of 9, forced schedule

@@ -346,6 +346,19 @@ class TestSpeciesPuzzles:
         with pytest.raises(ValueError, match="initial position"):
             solve_by_transfer(sp)
 
+    def test_negative_amount_rejected_before_the_rule(self):
+        asked = []
+        sp = SpeciesPuzzle(
+            names=("a", "b"),
+            amounts=(3, -1),
+            boat_capacity=2,
+            bank_rule=lambda v, boat: asked.append(v) or True,
+            boat_rule=lambda load: True,
+        )
+        with pytest.raises(ValueError, match="amounts must be non-negative"):
+            species_graph(sp)
+        assert asked == []
+
     def test_boat_dependent_illegal_start_rejected_by_transfer(self):
         # Legal once the boat has left, so the far-side states alone look fine.
         sp = SpeciesPuzzle(

@@ -21,6 +21,7 @@ from rivercross.transfer import (
     format_polynomial,
     format_signed_sum,
     legal_state_bound,
+    solve_and_trace,
     solve_by_transfer,
     transfer_trace,
 )
@@ -354,6 +355,41 @@ class TestTrace:
                 for v0, s in enumerate(states):
                     if s.boat == 0:
                         assert counts[v0] == g_i.get((s.missionaries, s.cannibals), 0)
+
+
+class TestSolveAndTrace:
+    """The trace's one entry: the verdict, the stage count and the named stages of one pass."""
+
+    def test_solvable_ends_on_its_success_stage(self):
+        outcome, stages, named = solve_and_trace(classic_species())
+        expected = [("f0", CLASSIC_F[0])]
+        for i in range(1, 7):
+            expected.append((f"g{i}", CLASSIC_G[i]))
+            if i < 6:
+                expected.append((f"f{i}", CLASSIC_F[i]))
+        assert (outcome.count, outcome.success_index, stages) == (4, 6, 6)
+        assert list(named) == expected
+
+    def test_unsolvable_runs_one_past_the_state_bound(self):
+        outcome, stages, named = solve_and_trace(mc_species(McParams(4, 4, 2, 0)))
+        names = [name for name, _ in named]
+        assert not outcome.solvable and stages == outcome.states_bound + 1 == 14
+        assert names == ["f0"] + [f"{side}{i}" for i in range(1, 15) for side in "gf"]
+
+    @pytest.mark.parametrize("steps", [0, 2, 9])
+    def test_steps_give_whole_pairs(self, steps):
+        reference = transfer_trace(classic_species(), steps)
+        outcome, stages, named = solve_and_trace(classic_species(), steps)
+        assert outcome == solve_by_transfer(classic_species()) and stages == steps
+        assert list(named) == [("f0", reference.initial)] + [
+            (f"{side}{i}", poly) for i, pair in enumerate(reference.steps, start=1)
+            for side, poly in zip("gf", pair)]
+
+    def test_negative_steps_raise_before_the_compile(self):
+        sp = classic_species()
+        with pytest.raises(ValueError, match="^stages must be non-negative$"):
+            solve_and_trace(sp, -1)
+        assert "state_graph" not in vars(sp)
 
 
 class TestFormatting:
