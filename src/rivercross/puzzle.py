@@ -10,8 +10,8 @@ wolf-goat-cabbage through caller-supplied bank and boat predicates.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import compress, product
+from functools import cached_property, partial
+from itertools import compress, product, repeat
 from math import prod
 from operator import add, mul
 from typing import Callable, NamedTuple
@@ -65,7 +65,7 @@ def validate_params(p: McParams) -> None:
         raise ParamError("cannibals", f"need at least 1 cannibal, got {p.cannibals}")
     if p.boat_capacity < 2:
         raise ParamError("boat-capacity", f"boat must hold at least 2, got {p.boat_capacity}")
-    if not _mc_safe(p.missionaries, p.cannibals, p.safety_margin):
+    if not _mc_rule(p.safety_margin, (p.missionaries, p.cannibals)):
         raise ParamError(
             "initial-state",
             f"initial state is illegal: surplus {p.missionaries - p.cannibals} "
@@ -93,11 +93,12 @@ class _SpeciesFields(NamedTuple):
 class SpeciesPuzzle(_SpeciesFields):
     """A k-species river crossing.
 
-    `bank_rule(populations, boat_present)` decides whether a bank holding the
-    given populations is safe; `boat_rule(load)` decides whether a nonzero load
-    may ride the boat (loads are already size-limited by `boat_capacity`).
-    `allow_empty_boat` lets the boat cross with no cargo, which puzzles with an
-    implicit ferryman (wolf-goat-cabbage) require.
+    `bank_rule(populations, boat_present)` decides whether a bank holding the given populations
+    is safe, and must be a pure function of the two: the compile asks each pair at most once,
+    and skips the pairs whose answer cannot matter.  `boat_rule(load)` decides whether a nonzero
+    load may ride the boat (loads are already size-limited by `boat_capacity`).
+    `allow_empty_boat` lets the boat cross with no cargo, which puzzles with an implicit
+    ferryman (wolf-goat-cabbage) require.
 
     The fields are a NamedTuple's; this subclass gives each instance the
     `__dict__` that `cached_property` stores in.  `_replace` compiles afresh.
@@ -129,8 +130,9 @@ def species_loads(sp: SpeciesPuzzle) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _mc_safe(m: int, c: int, margin: int) -> bool:
+def _mc_rule(margin: int, group: tuple[int, ...], boat_present: bool = False) -> bool:
     """The MC rule: wherever both groups are present, missionaries lead by at least `margin`."""
+    m, c = group
     return not (m > 0 and c > 0 and m - c < margin)
 
 
@@ -140,12 +142,7 @@ def mc_species(p: McParams) -> SpeciesPuzzle:
     One predicate is both the bank rule and the boat rule: wherever both groups
     are present, the missionaries lead by at least the safety margin.
     """
-    margin = p.safety_margin
-
-    def safe(group: tuple[int, ...], boat_present: bool = False) -> bool:
-        m, c = group
-        return _mc_safe(m, c, margin)
-
+    safe = partial(_mc_rule, p.safety_margin)
     return SpeciesPuzzle(
         names=("missionaries", "cannibals"),
         amounts=(p.missionaries, p.cannibals),
@@ -183,36 +180,38 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     It is palindromic: vertex n+1-v is the complement of v (banks swapped, boat flipped), every
     edge flips the boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.
     `meet_in_the_middle` relies on it.  Raises ValueError when the puzzle is ill-posed."""
-    present, absent = _rule_tables(sp)
-    states = _legal_states(sp.amounts, present, absent)
+    alone, with_boat = _rule_tables(sp)
+    states = _legal_states(sp.amounts, alone, with_boat)
     return Digraph(_crossings(sp, states)), states
 
 
 def _rule_tables(sp: SpeciesPuzzle) -> tuple[list[bool], list[bool]]:
-    """`bank_rule` on each vector of the box, in `product` order, with the boat and without.
-
-    Vector i has its far bank at vector N-1-i, so the rule runs once per vector and boat side.
-    Raises ValueError on a negative amount, or when the initial position itself is unsafe: such
-    a puzzle is ill-posed, not unsolvable."""
+    """`bank_rule` without the boat on each vector i of the box, in `product` order, then with it
+    on the far bank (vector N-1-i) of each i that passed.  That pair decides state (i, 0) and its
+    mirror (N-1-i, 1), so no pair is asked twice, nor one whose answer cannot matter.  Raises
+    ValueError on a negative amount, or when the initial position itself is unsafe: such a
+    puzzle is ill-posed, not unsolvable."""
     if min(sp.amounts, default=0) < 0:
         raise ValueError(f"amounts must be non-negative, got {sp.amounts}")
-    boxes = [range(a + 1) for a in sp.amounts]
-    present = [sp.bank_rule(vec, True) for vec in product(*boxes)]
-    absent = [sp.bank_rule(vec, False) for vec in product(*boxes)]
-    if not (present[-1] and absent[0]):
+    alone = list(map(sp.bank_rule, product(*(range(a + 1) for a in sp.amounts)), repeat(False)))
+    # Counting each digit down walks the far banks in the vectors' order.
+    far = compress(product(*(range(a, -1, -1) for a in sp.amounts)), alone)
+    with_boat = list(map(sp.bank_rule, far, repeat(True)))
+    if not (alone[0] and with_boat[0]):
         raise ValueError("initial position violates the bank rule")
-    return present, absent
+    return alone, with_boat
 
 
-def _legal_states(amounts: tuple, present: list, absent: list) -> tuple[SpeciesState, ...]:
+def _legal_states(amounts: tuple, alone: list, with_boat: list) -> tuple[SpeciesState, ...]:
     """The legal states in vertex order, so numbering is reproducible.
 
     Vertex 1 is the initial state (everyone and the boat on the start bank), vertex n the goal
     (everyone and the boat across); the others sit between them in lexicographic order."""
-    last = len(present) - 1
+    last = len(alone) - 1
+    # Each i whose state (i, 0) is legal, ascending; the first is the goal's, 0.
+    legal = list(compress(compress(range(last + 1), alone), with_boat))[1:]
     order = [(last, 1)]  # the initial state; the goal (0, 0) comes last
-    order += sorted([(i, 0) for i in compress(range(1, last + 1), absent[1:]) if present[last - i]]
-                    + [(i, 1) for i in compress(range(last), present) if absent[last - i]])
+    order += sorted([(i, 0) for i in legal] + [(last - i, 1) for i in legal])
     order.append((0, 0))
     # weights[k] moves i by one of species k.  Only the legal states' vectors are
     # decoded; the box's are never held at once.
@@ -310,7 +309,7 @@ def validate_solution(p: McParams, moves: tuple[Move, ...]) -> Violation | None:
             return Violation(
                 idx, "boat-capacity",
                 f"load {mv.render()} exceeds capacity {capacity}")
-        if not _mc_safe(e1, e2, margin):
+        if not _mc_rule(margin, (e1, e2)):
             return Violation(
                 idx, "boat-balance",
                 f"load {mv.render()} violates the margin {margin}")
@@ -324,7 +323,7 @@ def validate_solution(p: McParams, moves: tuple[Move, ...]) -> Violation | None:
         if not (0 <= m <= total_m and 0 <= c <= total_c):
             bank = "start" if forward else "far"
             return Violation(idx, "availability", f"not enough people on the {bank} bank")
-        if not (_mc_safe(m, c, margin) and _mc_safe(total_m - m, total_c - c, margin)):
+        if not (_mc_rule(margin, (m, c)) and _mc_rule(margin, (total_m - m, total_c - c))):
             return Violation(
                 idx, "bank-balance",
                 f"state {(m, c, boat)} leaves missionaries outnumbered beyond the margin")

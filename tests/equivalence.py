@@ -10,10 +10,11 @@ prints the first key that differs with both outputs and exits 1; when none
 does, it exits 0.  The workload is what the byte-identity corpus
 (`tests/test_corpus.py`) is too large to pin:
 
-- `species_graph` on the MC grid M, C 1..15, B 2..6, d -1..2 (4,500 sets,
-  the ill-posed ones included), on wolf-goat-cabbage, and on seeded
+- `species_graph` on the MC grid M, C 0..15, B 2..6, d -1..2 (5,120 sets,
+  the ill-posed ones included), on the `count` benchmark's anchors and a few
+  boats that hold everyone (B >= M + C), on wolf-goat-cabbage, and on seeded
   three-species puzzles whose bank rules read the boat side, with
-  `allow_empty_boat` both ways;
+  `allow_empty_boat` both ways and amounts from 1 and from 0;
 - `solve --all` at d = -1 for M, C <= 5, B 2..4, in text and JSON;
 - `trace` on M, C 7..12, B 2..5, d -1..2, beyond the corpus grid, at its
   default length and with `--steps 5`, in text and JSON;
@@ -52,18 +53,18 @@ SHOWN = 4000  # characters printed of each output of the first key that differs
 # The workload, run in a child process against one tree's `src/`
 # ---------------------------------------------------------------------------
 
-def seeded_puzzles(count: int = 400, seed: int = 18):
+def seeded_puzzles(count: int = 400, seed: int = 18, low: int = 1):
     """Three-species puzzles with random bank and boat tables; the bank rule reads the boat side."""
     from rivercross import SpeciesPuzzle
 
     rng = random.Random(seed)
     for k in range(count):
-        amounts = tuple(rng.randint(1, 3) for _ in range(3))
+        amounts = tuple(rng.randint(low, 3) for _ in range(3))
         boxes = [range(a + 1) for a in amounts]
         bank = {(vec, present): rng.random() < 0.85
                 for vec in product(*boxes) for present in (False, True)}
         boat = {load: rng.random() < 0.8 for load in product(*boxes)}
-        yield f"graph seeded {k}", SpeciesPuzzle(
+        yield f"graph seeded {'' if low else 'from 0 '}{k}", SpeciesPuzzle(
             names=("a", "b", "c"), amounts=amounts, boat_capacity=rng.randint(1, 3),
             bank_rule=lambda vec, present, bank=bank: bank[vec, present],
             boat_rule=lambda load, boat=boat: boat[load],
@@ -94,10 +95,13 @@ def workload():
             out.write(f"\nstatus: {status}\nstderr: {err.getvalue()}")
         return run
 
-    for m, c, b, d in product(range(1, 16), range(1, 16), range(2, 7), range(-1, 3)):
+    mc_sets = list(product(range(16), range(16), range(2, 7), range(-1, 3)))
+    mc_sets += [(80, 80, 8, 0), (30, 30, 3, 0), (40, 39, 2, 1), (300, 1, 2, 0),  # `count` anchors
+                (8, 7, 15, 0), (12, 12, 24, 0), (20, 5, 30, -1), (9, 6, 20, 2)]  # B >= M + C
+    for m, c, b, d in mc_sets:
         yield f"graph {m} {c} {b} {d}", graph(mc_species(McParams(m, c, b, d)))
     yield "graph wolf-goat-cabbage", graph(wolf_goat_cabbage())
-    for key, sp in seeded_puzzles():
+    for key, sp in [*seeded_puzzles(), *seeded_puzzles(seed=30, low=0)]:
         yield key, graph(sp)
     formats = [[], ["--format", "json", "--deterministic"]]
     for m, c, b, fmt in product(range(1, 6), range(1, 6), range(2, 5), formats):
@@ -191,7 +195,7 @@ def compare(ref: str) -> int:
         for old, new in zip(before, after):
             if old != new:
                 key = old.split("\t")[0]
-                print(f"first key that differs: {key}")
+                print(f"first key that differs: {key}", flush=True)
                 for name, src in trees.items():
                     shown = _finish(_start(src, "--show", key), name)
                     print(f"--- {name}: {len(shown)} characters, the first {SHOWN} shown")
@@ -217,7 +221,18 @@ def main() -> int:
         return 0
     if not args.ref:
         parser.error("name a git ref, such as the base of the branch")
-    return compare(args.ref)
+    try:
+        status = compare(args.ref)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader has gone (`| head`), as in `rivercross.cli.main`: closing our stdout drops
+        # what it still holds, so the flush at exit cannot fail.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercross import (
     McParams,
@@ -67,6 +69,17 @@ def verdict_puzzles():
             for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 6), range(3))
             if m - c >= d)
     return itertools.chain(grid, oracle_puzzles())
+
+
+def assert_asked_once_where_it_matters(amounts, rule, checks):
+    """The compile asked the bank rule without the boat once on each vector of the box, with the
+    boat once on the far bank of each vector that passed, and about no other pair."""
+    box = set(itertools.product(*(range(a + 1) for a in amounts)))
+    passed = {vec for vec in box if rule(vec, False)}
+    assert {vec for vec, boat in checks if not boat} == box
+    assert ({vec for vec, boat in checks if boat}
+            == {tuple(a - x for a, x in zip(amounts, vec)) for vec in passed})
+    assert set(checks.values()) == {1}
 
 
 def counted_rows(monkeypatch):
@@ -203,9 +216,9 @@ class TestSuccessorTable:
         out = solve_by_transfer(sp)
         assert not out.solvable and out.iterations_run == 16
         assert len(rows) == 2 * 16 - 1 and rows[-1][2]  # g16 settled
-        # The bank rule runs exactly once on each vector of the 31x31 box, per boat side.
-        assert sum(checks.values()) == 2 * 31 * 31
-        assert set(checks.values()) == {1}
+        # 961 vectors of the 31x31 box without the boat, and 526 far banks with it.
+        assert_asked_once_where_it_matters(mc.amounts, mc.bank_rule, checks)
+        assert sum(checks.values()) == 1487
 
     def test_one_compile_per_puzzle(self):
         # Listing and the transfer read the same cached state graph.
@@ -220,7 +233,47 @@ class TestSuccessorTable:
         crossings, solutions = solve_species(sp)
         out = solve_by_transfer(sp)
         assert (out.crossings, out.count) == (crossings, len(solutions))
-        assert sum(calls.values()) == 2 * 6 * 6
+        solving = Counter(calls)
+        calls.clear()
+        assert sp._replace().state_graph == sp.state_graph  # a fresh compile
+        assert solving == calls
+
+
+@st.composite
+def species_puzzles(draw):
+    """1-3 species with amounts 0..4, and tables for a bank rule that reads the boat side and
+    for the boat rule, with `allow_empty_boat` either way."""
+    amounts = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    capacity = draw(st.integers(1, 3))
+    bank = {(vec, boat): draw(st.integers(0, 7)) > 0
+            for vec in itertools.product(*(range(a + 1) for a in amounts)) for boat in (False, True)}
+    boat = {load: draw(st.integers(0, 3)) > 0
+            for load in itertools.product(range(capacity + 1), repeat=len(amounts))}
+    return SpeciesPuzzle(
+        names=tuple("abc"[:len(amounts)]), amounts=amounts, boat_capacity=capacity,
+        bank_rule=lambda vec, present: bank[vec, present], boat_rule=boat.__getitem__,
+        allow_empty_boat=draw(st.booleans()))
+
+
+def graph_or_error(compile_graph, sp):
+    try:
+        return compile_graph(sp)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(species_puzzles())
+def test_compile_asks_each_pair_once_and_matches_the_reference(sp):
+    checks = Counter()
+
+    def counted_rule(vec, boat_present):
+        checks[vec, boat_present] += 1
+        return sp.bank_rule(vec, boat_present)
+
+    compiled = graph_or_error(lambda p: p.state_graph, sp._replace(bank_rule=counted_rule))
+    assert_asked_once_where_it_matters(sp.amounts, sp.bank_rule, checks)
+    assert compiled == graph_or_error(reference_species_graph, sp)
 
 
 class TestSolveByTransfer:
