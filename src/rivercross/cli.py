@@ -8,6 +8,10 @@ Text output is deterministic; JSON output carries a timing field unless --determ
 Every usage error is reported before the first byte of stdout.  Text lines are
 written as they are produced, so a long listing is never held whole; JSON mode
 builds no text.
+
+JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document,
+but writes a lazy field in pieces: `solve --all` one solution at a time, so its
+memory is bounded by the state graph, and `trace` one stage at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import argparse
 import functools
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -78,19 +82,20 @@ def main(argv: list[str] | None = None) -> int:
             # this is the only branch on the format, and it builds only the one asked for.
             status, payload, lines = args.handler(args)
             if args.format == "json":
-                import json
                 # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
                 payload = {key: value() if callable(value) else value
                            for key, value in payload.items()}
                 meta = {"tool": "rivercross", "version": __version__}
                 if not args.deterministic:
                     meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-                lines = [json.dumps({**payload, "meta": meta}, sort_keys=True, indent=2)]
+                pieces = chain(_json_pieces({**payload, "meta": meta}), ["\n"])
+            else:
+                pieces = (line + "\n" for line in lines)
         except ValueError as exc:  # ParamError included
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for line in lines:
-            print(line)
+        for piece in pieces:
+            sys.stdout.write(piece)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:
@@ -107,13 +112,46 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(digits)
 
 
+def _lazy(value) -> bool:
+    """Whether JSON mode streams a value: a thunk, an iterator, or a dict holding one."""
+    return (callable(value) or hasattr(value, "__next__")
+            or isinstance(value, dict) and any(map(_lazy, value.values())))
+
+
+def _json_pieces(value, pad: str = "\n"):
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`, nested where lines start with `pad`.
+
+    A value that is not lazy is one dumps call.  An iterator is written as an
+    array one element at a time, and a lazy dict one entry at a time in key
+    order; a thunk is called at its turn.  json escapes the newlines inside
+    strings, so re-indenting a piece's lines changes nothing else.
+    """
+    import json
+    if callable(value):
+        value = value()
+    if isinstance(value, dict) and _lazy(value):
+        items, ends = ((json.dumps(key) + ": ", value[key]) for key in sorted(value)), "{}"
+    elif hasattr(value, "__next__"):
+        items, ends = (("", item) for item in value), "[]"
+    else:
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+        return
+    inner, sep = pad + "  ", ends[0]
+    for key, item in items:
+        yield sep + inner + key
+        yield from _json_pieces(item, inner)
+        sep = ","
+    yield ends if sep == ends[0] else pad + ends[1]
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on the first call and reused by every later one.
 
     `parse_args` returns a fresh namespace, and argparse reads `sys.stdout`,
     `sys.stderr` and `COLUMNS` only when it prints."""
-    parser = _Parser(prog="rivercross", description=__doc__)
+    # `--help` shows the docstring but its last paragraph, which is about the code.
+    parser = _Parser(prog="rivercross", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"rivercross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -221,10 +259,11 @@ def _cmd_solve(args):
                      "crossings": None, "count": None, "solutions": []}
     if counted is not None:
         # The listing is lazy and read by one format only; without --all, only solution 0 is built.
+        # JSON streams the --all array one solution at a time, as text streams its lines.
         paths = islice(shortest_paths(counted), None if args.all else 1)
+        solutions = (_solution(states, path) for path in paths)
         payload.update(crossings=counted.length, count=_json_count(counted.count),
-                       solutions=lambda: [[list(s) for s in _solution(states, path)]
-                                          for path in paths])
+                       solutions=solutions if args.all else lambda: list(solutions))
 
     def text():
         yield _params_line(p)
@@ -292,18 +331,19 @@ def _cmd_count(args):
 
 
 def _poly_json(poly) -> list:
-    from .transfer import monomial_sort_key
-    return [[poly[mono], list(mono)] for mono in sorted(poly, key=monomial_sort_key)]
+    return [[poly[mono], mono] for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)]
 
 
 def _cmd_trace(args):
     from .transfer import format_polynomial, solve_and_trace
     p = _params(args)
-    # One lazy pass over the stages, read by one format only.
+    # One lazy pass over the stages, read by one format only.  "f10" sorts before "f2", so
+    # JSON holds every stage as its polynomial and encodes each at its turn.
     outcome, stages, polys = solve_and_trace(mc_species(p), args.steps)
     payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
                "states_bound": outcome.states_bound,
-               "polynomials": lambda: {name: _poly_json(poly) for name, poly in polys}}
+               "polynomials": lambda: {name: functools.partial(_poly_json, poly)
+                                       for name, poly in polys}}
 
     def text():
         yield _params_line(p)

@@ -128,17 +128,12 @@ def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
     return TransferTrace({sp.amounts: 1}, steps)
 
 
-def monomial_sort_key(mono: Exponents) -> tuple:
-    """Descending total degree, then descending lexicographic exponent order."""
-    return (-sum(mono), tuple(-e for e in mono))
-
-
 def format_polynomial(poly: Polynomial) -> str:
-    """Render a polynomial deterministically, highest-degree monomials first."""
+    """Render a polynomial deterministically: descending total degree, then descending exponents."""
     return format_signed_sum([
         (poly[mono], "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
                                for i, e in enumerate(mono, 1) if e]))
-        for mono in sorted(poly, key=monomial_sort_key)
+        for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)
     ])
 
 

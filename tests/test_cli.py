@@ -184,7 +184,7 @@ class _Recorder(io.StringIO):
         self.seen = []
 
     def write(self, text):
-        if text != "\n":  # print writes its end separately
+        if text != "\n":  # a bare newline, such as the one that ends a JSON document
             self.seen.append((text, self.probe()))
         return super().write(text)
 
@@ -232,6 +232,51 @@ class TestTextStreams:
         assert len(stages) == len(rows) == 40 > verdict
         for j, n in enumerate(stages, start=1):
             assert n <= max(j, verdict), (j, n)
+
+
+class TestJsonStreams:
+    """JSON streams a lazy field element by element, in the bytes of one dumps of the document."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (("trace", "4", "4", "2", "0"), 0),  # runs to f14, so "f10" sorts before "f2"
+        (("trace", "3", "3", "2", "0", "--steps", "0"), 0),
+        (("solve", "4", "4", "2", "0"), 2),
+        (("solve", "3", "3", "2", "0"), 0),
+        (("solve", "3", "3", "2", "-1", "--all"), 0),
+    ])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_bytes_are_one_dumps_of_the_document(self, capsys, argv, status, timed):
+        got, out, _ = run(capsys, *argv, "--format", "json", *([] if timed else ["--deterministic"]))
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert got == status and ("elapsed_ms" in doc["meta"]) == timed
+
+    def test_nested_lazy_fields(self):
+        plain = {"b": [], "a": {"z": [1, {"y": "two\nlines"}]}, "c": [[1, 2], {"k": []}, "s"],
+                 "d": {}}
+        lazy = {"b": iter([]), "a": {"z": lambda: [1, {"y": "two\nlines"}]},
+                "c": iter([iter([1, 2]), {"k": iter([])}, "s"]), "d": {}}
+        assert cli._lazy(lazy) and not cli._lazy(plain)
+        assert "".join(cli._json_pieces(lazy)) == json.dumps(plain, sort_keys=True, indent=2)
+
+    def test_solve_all_writes_each_solution_as_it_is_listed(self, monkeypatch):
+        real, pulled = cli.shortest_paths, []
+
+        def counted(dag):
+            for path in real(dag):
+                pulled.append(path)
+                yield path
+
+        monkeypatch.setattr(cli, "shortest_paths", counted)
+        recorder = _Recorder(lambda: len(pulled))
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["solve", "5", "5", "3", "0", "--all", "--format", "json",
+                     "--deterministic"]) == 0
+        done = 0  # solutions whole in stdout before a write; each ends in a 4-space "]" line
+        for text, n in recorder.seen:
+            assert n <= done + 1, (done, n)
+            done += text.count("\n    ]")
+        assert done == len(pulled) == 25
 
 
 class TestJson:
@@ -447,6 +492,8 @@ class TestClosedStdout:
     @pytest.mark.parametrize("argv, first", [
         (["solve", "6", "5", "2", "-1", "--all"], [b"M=6 C=5 B=2 d=-1\n", b"crossings: 19\n"]),
         (["--help"], []),  # argparse prints, then exits
+        (["solve", "6", "5", "2", "-1", "--all", "--format", "json", "--deterministic"],
+         [b"{\n", b'  "command": "solve",\n', b'  "count": 67500,\n']),
     ])
     def test_exits_quietly_after_the_lines_read(self, entry, argv, first):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -454,6 +454,20 @@ class TestFormatting:
         text = format_polynomial({(0, 0): 4, (1, 1): 1, (0, 1): 28})
         assert text == "x1*x2 + 28*x2 + 4"
 
+    @pytest.mark.parametrize("species", [1, 2, 3])
+    def test_order_on_random_monomials(self, species):
+        """Descending total degree, then descending exponents, in text and in JSON alike."""
+        from rivercross.cli import _poly_json
+        rng = random.Random(species)
+        for _ in range(50):
+            monos = {tuple(rng.randrange(5) for _ in range(species)) for _ in range(12)}
+            want = sorted(monos, key=lambda m: (-sum(m), tuple(-e for e in m)))
+            poly = {mono: want.index(mono) + 2 for mono in monos}  # coefficient = rank + 2
+            text = format_polynomial(poly)
+            assert [int(term.split("*")[0]) for term in text.split(" + ")] == list(
+                range(2, len(monos) + 2))
+            assert [mono for _, mono in _poly_json(poly)] == want
+
     def test_zero_polynomial(self):
         assert format_polynomial({}) == "0"
 
