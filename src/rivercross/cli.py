@@ -1,13 +1,6 @@
-"""Command-line interface.
+"""Command-line interface: one handler per command, and `main`, the one place that writes.
 
-Exit codes: 0 for success (including a solvable instance), 2 when the instance
-is provably unsolvable, 1 on usage errors.  A stdout closed before the output ends
-(`| head`), after `--help` or `--version` too, stops the command quietly with status 1.
-Text output is deterministic; JSON output carries a timing field unless --deterministic is given.
-
-Every usage error is reported before the first byte of stdout.  Text lines are
-written as they are produced, so a long listing is never held whole; JSON mode
-builds no text.
+The exit codes and the output contract are the parser's description, which `--help` shows.
 
 JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document,
 but writes a lazy field in pieces: `solve --all` one solution at a time, so its
@@ -150,8 +143,14 @@ def _parser() -> _Parser:
 
     `parse_args` returns a fresh namespace, and argparse reads `sys.stdout`,
     `sys.stderr` and `COLUMNS` only when it prints."""
-    # `--help` shows the docstring but its last paragraph, which is about the code.
-    parser = _Parser(prog="rivercross", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = _Parser(prog="rivercross", description=(
+        "Command-line interface. Exit codes: 0 for success (including a solvable instance), "
+        "2 when the instance is provably unsolvable, 1 on usage errors. A stdout closed before "
+        "the output ends (`| head`), after `--help` or `--version` too, stops the command "
+        "quietly with status 1. Text output is deterministic; JSON output carries a timing "
+        "field unless --deterministic is given. Every usage error is reported before the "
+        "first byte of stdout. Text lines are written as they are produced, so a long listing "
+        "is never held whole; JSON mode builds no text."))
     parser.add_argument("--version", action="version", version=f"rivercross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -330,19 +329,15 @@ def _cmd_count(args):
     return EXIT_UNSOLVABLE if result is None else EXIT_OK, payload, text()
 
 
-def _poly_json(poly) -> list:
-    return [[poly[mono], mono] for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)]
-
-
 def _cmd_trace(args):
-    from .transfer import format_polynomial, solve_and_trace
+    from .transfer import format_polynomial, polynomial_terms, solve_and_trace
     p = _params(args)
     # One lazy pass over the stages, read by one format only.  "f10" sorts before "f2", so
     # JSON holds every stage as its polynomial and encodes each at its turn.
     outcome, stages, polys = solve_and_trace(mc_species(p), args.steps)
     payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
                "states_bound": outcome.states_bound,
-               "polynomials": lambda: {name: functools.partial(_poly_json, poly)
+               "polynomials": lambda: {name: functools.partial(polynomial_terms, poly)
                                        for name, poly in polys}}
 
     def text():

@@ -206,18 +206,14 @@ def _legal_states(amounts: tuple, alone: list, with_boat: list) -> tuple[Species
     """The legal states in vertex order, so numbering is reproducible.
 
     Vertex 1 is the initial state (everyone and the boat on the start bank), vertex n the goal
-    (everyone and the boat across); the others sit between them in lexicographic order."""
-    last = len(alone) - 1
-    # Each i whose state (i, 0) is legal, ascending; the first is the goal's, 0.
-    legal = list(compress(compress(range(last + 1), alone), with_boat))[1:]
-    order = [(last, 1)]  # the initial state; the goal (0, 0) comes last
-    order += sorted([(i, 0) for i in legal] + [(last - i, 1) for i in legal])
-    order.append((0, 0))
-    # weights[k] moves i by one of species k.  Only the legal states' vectors are
-    # decoded; the box's are never held at once.
-    weights = [prod(a + 1 for a in amounts[k + 1:]) for k in range(len(amounts))]
-    return tuple((tuple([i // w % (a + 1) for w, a in zip(weights, amounts)]), flag)
-                 for i, flag in order)
+    (everyone and the boat across); the others sit between them in lexicographic order.  The
+    vectors come from `product` order, picked by the two rule tables, so none is decoded."""
+    near = compress(compress(product(*(range(a + 1) for a in amounts)), alone), with_boat)
+    # Counting each digit down picks the mirror, amounts - vec, of each legal vector.
+    far = compress(compress(product(*(range(a, -1, -1) for a in amounts)), alone), with_boat)
+    states = sorted([*zip(near, repeat(0)), *zip(far, repeat(1))])
+    # The goal, (0, ..., 0) without the boat, sorts first; the initial state, (amounts, 1), last.
+    return (states[-1], *states[1:-1], states[0])
 
 
 def _crossings(sp: SpeciesPuzzle, states: tuple[SpeciesState, ...]) -> tuple[tuple[int, ...], ...]:

@@ -128,12 +128,17 @@ def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
     return TransferTrace({sp.amounts: 1}, steps)
 
 
+def polynomial_terms(poly: Polynomial) -> list[tuple[int, Exponents]]:
+    """(coefficient, exponents) pairs in display order: descending total degree, then
+    descending exponents.  `format_polynomial` and JSON `trace` both read this order."""
+    return [(poly[mono], mono) for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)]
+
+
 def format_polynomial(poly: Polynomial) -> str:
-    """Render a polynomial deterministically: descending total degree, then descending exponents."""
+    """Render a polynomial deterministically, in `polynomial_terms` order."""
     return format_signed_sum([
-        (poly[mono], "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
-                               for i, e in enumerate(mono, 1) if e]))
-        for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)
+        (coeff, "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono, 1) if e]))
+        for coeff, mono in polynomial_terms(poly)
     ])
 
 

@@ -15,7 +15,11 @@ does, it exits 0.  The workload is what the byte-identity corpus
   boats that hold everyone (B >= M + C), on wolf-goat-cabbage, and on seeded
   three-species puzzles whose bank rules read the boat side, with
   `allow_empty_boat` both ways and amounts from 1 and from 0;
+- on the same seeded puzzles, `count_shortest_paths` from 1 to n and
+  `solve_by_transfer`, each count or its ValueError;
 - `solve --all` at d = -1 for M, C <= 5, B 2..4, in text and JSON;
+- `spell --index k` for M, C 1..6, B 2..4, d -1..2, at k = 0, count // 2
+  and count - 1, in text and JSON;
 - `trace` on M, C 7..12, B 2..5, d -1..2, beyond the corpus grid, at its
   default length and with `--steps 5`, in text and JSON;
 - `sequence` over surplus -2..6, B 1..4, d -1..2 with 1, 5 and 14 terms, and
@@ -64,7 +68,7 @@ def seeded_puzzles(count: int = 400, seed: int = 18, low: int = 1):
         bank = {(vec, present): rng.random() < 0.85
                 for vec in product(*boxes) for present in (False, True)}
         boat = {load: rng.random() < 0.8 for load in product(*boxes)}
-        yield f"graph seeded {'' if low else 'from 0 '}{k}", SpeciesPuzzle(
+        yield f"seeded {'' if low else 'from 0 '}{k}", SpeciesPuzzle(
             names=("a", "b", "c"), amounts=amounts, boat_capacity=rng.randint(1, 3),
             bank_rule=lambda vec, present, bank=bank: bank[vec, present],
             boat_rule=lambda load, boat=boat: boat[load],
@@ -73,16 +77,23 @@ def seeded_puzzles(count: int = 400, seed: int = 18, low: int = 1):
 
 def workload():
     """(key, thunk) pairs in a fixed order; a thunk writes the key's output to `out`."""
-    from rivercross import McParams, mc_species, species_graph, wolf_goat_cabbage
+    from rivercross import (McParams, count_shortest_paths, mc_species, solve_by_transfer,
+                            species_graph, wolf_goat_cabbage)
     from rivercross.cli import main
 
-    def graph(sp):
+    def value(f, *args):
         def run(out):
             try:
-                out.write(repr(species_graph(sp)))
+                out.write(repr(f(*args)))
             except ValueError as exc:
                 out.write(f"ValueError: {exc}")
         return run
+
+    def dag_count(sp):
+        """(crossings, count) on the shortest-path DAG, or None when unsolvable."""
+        graph = sp.state_graph[0]
+        counted = count_shortest_paths(graph, 1, graph.n)
+        return counted and (counted.length, counted.count)
 
     def cli(argv):
         def run(out):
@@ -99,14 +110,25 @@ def workload():
     mc_sets += [(80, 80, 8, 0), (30, 30, 3, 0), (40, 39, 2, 1), (300, 1, 2, 0),  # `count` anchors
                 (8, 7, 15, 0), (12, 12, 24, 0), (20, 5, 30, -1), (9, 6, 20, 2)]  # B >= M + C
     for m, c, b, d in mc_sets:
-        yield f"graph {m} {c} {b} {d}", graph(mc_species(McParams(m, c, b, d)))
-    yield "graph wolf-goat-cabbage", graph(wolf_goat_cabbage())
+        yield f"graph {m} {c} {b} {d}", value(species_graph, mc_species(McParams(m, c, b, d)))
+    yield "graph wolf-goat-cabbage", value(species_graph, wolf_goat_cabbage())
     for key, sp in [*seeded_puzzles(), *seeded_puzzles(seed=30, low=0)]:
-        yield key, graph(sp)
+        yield f"graph {key}", value(species_graph, sp)
+        yield f"count {key}", value(dag_count, sp)
+        yield f"transfer {key}", value(solve_by_transfer, sp)
     formats = [[], ["--format", "json", "--deterministic"]]
     for m, c, b, fmt in product(range(1, 6), range(1, 6), range(2, 5), formats):
         argv = ["solve", str(m), str(c), str(b), "-1", "--all", *fmt]
         yield "cli " + " ".join(argv), cli(argv)
+    for m, c, b, d in product(range(1, 7), range(1, 7), range(2, 5), range(-1, 3)):
+        try:
+            solved = dag_count(mc_species(McParams(m, c, b, d)))
+        except ValueError:  # ill-posed
+            solved = None
+        count = solved[1] if solved else 1  # an unsolvable or ill-posed set spells index 0 only
+        for k, fmt in product(sorted({0, count // 2, count - 1}), formats):
+            argv = ["spell", str(m), str(c), str(b), str(d), "--index", str(k), *fmt]
+            yield "cli " + " ".join(argv), cli(argv)
     for m, c, b, d, steps, fmt in product(range(7, 13), range(7, 13), range(2, 6), range(-1, 3),
                                           ([], ["--steps", "5"]), formats):
         argv = ["trace", str(m), str(c), str(b), str(d), *steps, *fmt]

@@ -23,6 +23,7 @@ from rivercross.transfer import (
     format_polynomial,
     format_signed_sum,
     legal_state_bound,
+    polynomial_terms,
     solve_and_trace,
     solve_by_transfer,
     transfer_trace,
@@ -457,7 +458,6 @@ class TestFormatting:
     @pytest.mark.parametrize("species", [1, 2, 3])
     def test_order_on_random_monomials(self, species):
         """Descending total degree, then descending exponents, in text and in JSON alike."""
-        from rivercross.cli import _poly_json
         rng = random.Random(species)
         for _ in range(50):
             monos = {tuple(rng.randrange(5) for _ in range(species)) for _ in range(12)}
@@ -466,7 +466,7 @@ class TestFormatting:
             text = format_polynomial(poly)
             assert [int(term.split("*")[0]) for term in text.split(" + ")] == list(
                 range(2, len(monos) + 2))
-            assert [mono for _, mono in _poly_json(poly)] == want
+            assert [mono for _, mono in polynomial_terms(poly)] == want
 
     def test_zero_polynomial(self):
         assert format_polynomial({}) == "0"
