@@ -62,7 +62,8 @@ def family_counts(fs: FamilySpec, start: int = 1) -> list[int | None]:
     """
     if fs.num_terms < 1:
         raise ValueError("need at least one term")
-    validate_params(family_params(fs, max(start, 1)))
+    for i in (start, start + fs.num_terms - 1):  # the first member, then the largest
+        validate_params(family_params(fs, max(i, 1)))
     out: list[int | None] = []
     for i in range(start, start + fs.num_terms):
         outcome = solve_by_transfer(mc_species(family_params(fs, i)))

@@ -57,8 +57,18 @@ class ParamError(ValueError):
         self.code = code
 
 
+# Size limits, read by `validate_params` alone: the state box (M+1)(C+1) bounds the states and
+# the crossing bound 2(M+1)(C+1)L the compile, which tries each load from each state.  At 9.3
+# million, (54, 54, 54, -54) counts in 0.7 s; at 1.6e10, (300, 300, 600, -600) took over 60 s.
+MAX_STATE_BOX = 100_000
+MAX_CROSSINGS = 10_000_000
+
+
 def validate_params(p: McParams) -> None:
-    """Raise ParamError unless p describes a well-posed puzzle instance."""
+    """Raise ParamError unless p is a well-posed instance within the size limits.
+
+    After the crew, the boat and the initial state come the box (M+1)(C+1), then the crossing
+    bound 2(M+1)(C+1)L, L the loads m <= M, c <= C, 1 <= m + c <= B, all before any compile."""
     if p.missionaries < 1:
         raise ParamError("missionaries", f"need at least 1 missionary, got {p.missionaries}")
     if p.cannibals < 1:
@@ -71,6 +81,17 @@ def validate_params(p: McParams) -> None:
             f"initial state is illegal: surplus {p.missionaries - p.cannibals} "
             f"is below the safety margin {p.safety_margin}",
         )
+    box = (p.missionaries + 1) * (p.cannibals + 1)
+    if box > MAX_STATE_BOX:
+        raise ParamError("state-box",
+                         f"state box (M+1)(C+1) = {box} is above the limit {MAX_STATE_BOX}")
+    # L: the pairs (m, c) <= (mb, cb), less a corner triangle with m + c > B, less (0, 0).
+    mb, cb = min(p.missionaries, p.boat_capacity), min(p.cannibals, p.boat_capacity)
+    over = max(mb + cb - p.boat_capacity, 0)
+    loads = (mb + 1) * (cb + 1) - over * (over + 1) // 2 - 1
+    if 2 * box * loads > MAX_CROSSINGS:
+        raise ParamError("crossing-bound", f"crossing bound 2(M+1)(C+1)L = {2 * box * loads}, "
+                         f"L = {loads} loads, is above the limit {MAX_CROSSINGS}")
 
 
 # ---------------------------------------------------------------------------

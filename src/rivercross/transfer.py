@@ -84,12 +84,6 @@ def legal_state_bound(sp: SpeciesPuzzle) -> int:
     return len(vectors) if len(states) == 2 * len(vectors) else len(states)
 
 
-def _polynomials(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> Iterator[Polynomial]:
-    """The rows g1, f1, g2, f2, ... decoded into polynomials over the start-bank populations."""
-    states = sp.state_graph[1]
-    return ({states[v - 1][0]: counts[v] for v in support} for counts, support, _ in rows)
-
-
 def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
     """Read the rows g1, f1, g2, ... until they meet in the middle, settle or cover n - 1."""
     k, count = meet_in_the_middle(rows)
@@ -116,16 +110,16 @@ def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
     names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
     if outcome.solvable and steps is None:
         names.pop()  # the success stage ends on its forward polynomial
-    return outcome, stages, chain([("f0", {sp.amounts: 1})], zip(names, _polynomials(sp, rows)))
+    # The rows g1, f1, g2, f2, ... decoded into polynomials over the start-bank populations.
+    states = sp.state_graph[1]
+    polys = ({states[v - 1][0]: counts[v] for v in support} for counts, support, _ in rows)
+    return outcome, stages, chain([("f0", {sp.amounts: 1})], zip(names, polys))
 
 
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
-    """Compute the first `stages` (forward, back) polynomial pairs for inspection."""
-    if stages < 0:
-        raise ValueError("stages must be non-negative")
-    polys = _polynomials(sp, walk_rows(sp.state_graph[0], 1))
-    steps = tuple((next(polys), next(polys)) for _ in range(stages))
-    return TransferTrace({sp.amounts: 1}, steps)
+    """The first `stages` (forward, back) polynomial pairs of `solve_and_trace`, for inspection."""
+    polys = (poly for _, poly in solve_and_trace(sp, stages)[2])
+    return TransferTrace(next(polys), tuple(zip(polys, polys)))  # f0, then (g_i, f_i) pairs
 
 
 def polynomial_terms(poly: Polynomial) -> list[tuple[int, Exponents]]:

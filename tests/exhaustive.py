@@ -13,12 +13,15 @@ each puzzle it checks that
 - `states[n-1-k]` is the mirror of `states[k]`: banks swapped, boat flipped;
 - u -> v is an edge exactly when n+1-u -> n+1-v is one, and exactly when
   v -> u is one, and every edge flips the boat;
-- `count_shortest_paths` from 1 to n agrees with `solve_by_transfer`.
+- `count_shortest_paths` from 1 to n agrees with `solve_by_transfer`;
+- on a solvable puzzle, `shortest_paths` lists exactly `count` paths, in
+  strictly increasing order, each of `length` crossings from 1 to n along
+  edges of the graph, and the k-th is `unrank_shortest_path(counted, k)`.
 
-It prints the scope and the number of puzzles checked, so a shrunken scope
-shows, and at the first failure names the puzzle and exits 1.  Stdlib only, no
-pytest; it takes about 30 s on a 2-core VM, so it stays out of tier-1 and CI
-runs it on its own.
+It prints the scope and the number of puzzles checked and of paths listed, so
+a shrunken scope shows, and at the first failure names the puzzle and exits 1.
+Stdlib only, no pytest; it takes about 30 s on a 2-core VM, so it stays out of
+tier-1 and CI runs it on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import time
 from itertools import product
 
 from reference import reference_species_graph
-from rivercross import SpeciesPuzzle, count_shortest_paths, solve_by_transfer, species_graph
+from rivercross import (SpeciesPuzzle, count_shortest_paths, shortest_paths, solve_by_transfer,
+                        species_graph, unrank_shortest_path)
 
 AMOUNTS = [(3,), (2,), (1, 1), (2, 1)]
 BOATS = range(1, 4)
@@ -75,14 +79,15 @@ def _compiled(compile_, sp):
         return f"ValueError: {exc}"
 
 
-def solvable(sp: SpeciesPuzzle) -> bool:
-    """Check the compile of `sp`, and say whether the puzzle is well-posed and solvable.
-    Raises Fault at the first check that fails."""
+def check(sp: SpeciesPuzzle) -> int:
+    """Check the compile of `sp`, its count and its listing, and return the number of shortest
+    solutions listed: 0 when the puzzle is ill-posed or unsolvable.  Raises Fault at the first
+    check that fails."""
     got, want = _compiled(species_graph, sp), _compiled(reference_species_graph, sp)
     if got != want:
         raise Fault(f"species_graph gives {got!r}, the reference {want!r}")
     if isinstance(got, str):
-        return False
+        return 0
     graph, states = got
     n = graph.n
     mirrors = [(tuple(a - v for a, v in zip(sp.amounts, vec)), 1 - flag) for vec, flag in states]
@@ -101,7 +106,24 @@ def solvable(sp: SpeciesPuzzle) -> bool:
     walk = (outcome.crossings, outcome.count) if outcome.solvable else None
     if dag != walk:
         raise Fault(f"count_shortest_paths gives {dag}, solve_by_transfer {walk}")
-    return dag is not None
+    if counted is None:
+        return 0
+    listed, previous = 0, ()
+    for path in shortest_paths(counted):
+        if not (len(path) == counted.length + 1 and path[0] == 1 and path[-1] == n
+                and edges.issuperset(zip(path, path[1:]))):
+            raise Fault(f"listed path {listed}, {path}, is no {counted.length}-crossing path "
+                        f"from 1 to {n} in the graph")
+        if path <= previous:
+            raise Fault(f"listed path {listed}, {path}, does not follow {previous}")
+        unranked = unrank_shortest_path(counted, listed)
+        if unranked != path:
+            raise Fault(f"unrank_shortest_path gives {unranked} at {listed}, the listing {path}")
+        listed, previous = listed + 1, path
+    if listed != counted.count:
+        raise Fault(f"shortest_paths lists {listed} paths, count_shortest_paths counts "
+                    f"{counted.count}")
+    return listed
 
 
 def main() -> int:
@@ -109,21 +131,23 @@ def main() -> int:
     print(f"scope: amounts {', '.join(map(str, AMOUNTS))}; boats {BOATS.start}..{BOATS.stop - 1}; "
           "every bank table passing the initial position; every boat-rule subset of the "
           "fitting loads; allow_empty_boat both ways", flush=True)
-    total = 0
+    total = total_paths = 0
     for amounts in AMOUNTS:
-        checked = solved = 0
+        checked = solved = paths = 0
         for table, allowed, sp in puzzles(amounts):
             try:
-                solved += solvable(sp)
+                listed = check(sp)
             except Fault as fault:
                 print(f"FAIL amounts {amounts}, boat {sp.boat_capacity}, allow_empty_boat "
                       f"{sp.allow_empty_boat}, loads allowed {sorted(allowed)}, bank rule false "
                       f"on {sorted(pair for pair, ok in table.items() if not ok)}: {fault}")
                 return 1
-            checked += 1
-        total += checked
-        print(f"amounts {amounts}: {checked:,} puzzles checked, {solved:,} solvable", flush=True)
-    print(f"{total:,} puzzles checked, 0 failed; {time.perf_counter() - started:.1f} s")
+            checked, solved, paths = checked + 1, solved + bool(listed), paths + listed
+        total, total_paths = total + checked, total_paths + paths
+        print(f"amounts {amounts}: {checked:,} puzzles checked, {solved:,} solvable, "
+              f"{paths:,} shortest solutions listed", flush=True)
+    print(f"{total:,} puzzles checked, {total_paths:,} shortest solutions listed, 0 failed; "
+          f"{time.perf_counter() - started:.1f} s")
     return 0
 
 

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from rivercross import McParams, cli, mc_species, solve_by_transfer, transfer
-from rivercross.cli import MAX_STATE_BOX, main
+from rivercross.cli import main
+from rivercross.puzzle import MAX_STATE_BOX
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -103,6 +105,30 @@ class TestExitCodes:
         message = "error: need at least 1 missionary, got 0\n"
         assert run(capsys, "count", "0", "1", "2", "-3") == (1, "", message)
         assert run(capsys, command, "-1", "2", "-3", "4") == (1, "", message)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        # Two rules broken at once are reported in an instance's order: the first member
+        # before the largest one's size, and --max-order before the family.
+        (("sequence", "-1", "2", "0", "400"), "need at least 1 missionary, got 0"),
+        (("sequence", "0", "1", "0", "400"), "boat must hold at least 2, got 1"),
+        (("conjecture", "0", "2", "0", "0", "--max-order", "0"), "max_order must be at least 1"),
+        (("conjecture", "0", "2", "0", "400", "--max-order", "0"),
+         "max_order must be at least 1"),
+    ])
+    def test_family_reports_its_first_broken_rule(self, capsys, argv, message, fmt):
+        assert run(capsys, *argv, "--format", fmt) == (1, "", f"error: {message}\n")
+
+    def test_crossing_bound_refused_at_once(self, capsys, monkeypatch):
+        def no_compile(sp):
+            raise AssertionError("compiled before the size check")
+
+        monkeypatch.setattr("rivercross.puzzle.species_graph", no_compile)
+        started = time.perf_counter()
+        status, out, err = run(capsys, "count", "300", "300", "600", "-600")  # inside the box
+        assert time.perf_counter() - started < 1.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error: crossing bound 2(M+1)(C+1)L = 16416901200, ")
 
 
 class TestGoldenText:

@@ -70,6 +70,15 @@ def test_one_function_reads_the_bank_rule_and_one_compiles():
     assert functions_that(calls_species_graph) == {"SpeciesPuzzle.state_graph"}
 
 
+def test_one_function_reads_the_size_limits():
+    """`validate_params` is the only reader of a size limit (`MAX_STATE_BOX`, `MAX_CROSSINGS`)."""
+    def reads_a_limit(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return name.startswith("MAX_") and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    assert functions_that(reads_a_limit) == {"validate_params"}
+
+
 # What the test oracles may take from the package: data types and type aliases.
 ORACLE_MODULE = Path(__file__).parent / "reference.py"
 DATA_TYPES = {"SpeciesPuzzle", "McParams", "Digraph", "Polynomial"}

@@ -4,10 +4,15 @@ import pytest
 
 from rivercross import (
     BankState,
+    FamilySpec,
     McParams,
     Move,
     ParamError,
     SpeciesPuzzle,
+    Strategy,
+    applicability,
+    build_strategy,
+    family_counts,
     mc_graph,
     mc_species,
     path_to_moves,
@@ -18,8 +23,9 @@ from rivercross import (
     validate_params,
     wolf_goat_cabbage,
 )
+from rivercross import puzzle
 from rivercross.digraph import count_shortest_paths, unrank_shortest_path
-from rivercross.puzzle import species_loads
+from rivercross.puzzle import MAX_CROSSINGS, species_loads
 from rivercross.transfer import solve_by_transfer
 from rivercross.walkcount import count_shortest_walks
 
@@ -103,6 +109,72 @@ class TestValidateParams:
         with pytest.raises(ParamError) as err:
             validate_params(McParams(3, 0, 2, 0))
         assert err.value.code == "cannibals"
+
+
+def _no_compile(sp):
+    raise AssertionError(f"compiled {sp.amounts} before the size check")
+
+
+class TestSizeLimits:
+    """`validate_params` owns both limits, so every entry point refuses before it compiles."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: mc_graph(McParams(99999, 1, 2, 0)), id="mc_graph"),
+        pytest.param(lambda: solve_mc(McParams(99999, 1, 2, 0)), id="solve_mc"),
+        pytest.param(lambda: applicability(McParams(99999, 1, 2, 0)), id="applicability"),
+        pytest.param(lambda: build_strategy(McParams(99999, 1, 2, 0), Strategy.BIG_BOAT_1),
+                     id="build_strategy"),
+        # Member 1, (1, 1, 2, 0), is well-posed; member 400 has a box of 160,801.
+        pytest.param(lambda: family_counts(FamilySpec(0, 2, 0, 400)), id="family_counts"),
+    ])
+    def test_state_box_refused_before_any_compile(self, monkeypatch, call):
+        monkeypatch.setattr(puzzle, "species_graph", _no_compile)
+        with pytest.raises(ParamError) as err:
+            call()
+        assert err.value.code == "state-box"
+
+    def test_crossing_bound_refused_before_any_compile(self, monkeypatch):
+        monkeypatch.setattr(puzzle, "species_graph", _no_compile)
+        with pytest.raises(ParamError) as err:
+            mc_graph(McParams(300, 300, 600, -600))  # inside the box limit
+        assert err.value.code == "crossing-bound"
+        assert str(err.value) == ("crossing bound 2(M+1)(C+1)L = 16416901200, L = 90600 loads, "
+                                  f"is above the limit {MAX_CROSSINGS}")
+
+    def test_the_box_is_checked_first(self):
+        for p in (McParams(400, 400, 2, 0), McParams(400, 400, 800, 0)):
+            with pytest.raises(ParamError) as err:
+                validate_params(p)
+            assert err.value.code == "state-box"
+
+    @pytest.mark.parametrize("p, admitted", [
+        (McParams(315, 315, 8, 0), True),       # a bound of 8.8 million
+        (McParams(86, 86, 9, 0), True),         # the benchmark's largest
+        (McParams(54, 54, 54, -54), True),      # 9.3 million
+        (McParams(55, 55, 55, -55), False),     # 10,003,840
+        (McParams(80, 80, 160, -160), False),   # 86 million
+        (McParams(100, 100, 200, 0), False),    # 208 million
+    ])
+    def test_documented_instances(self, p, admitted):
+        if admitted:
+            validate_params(p)
+        else:
+            with pytest.raises(ParamError, match="^crossing bound"):
+                validate_params(p)
+
+    def test_bound_counts_each_load_that_fits(self, monkeypatch):
+        """Under a low limit, an instance is refused exactly when its bound, counted load by
+        load, is above it, and the message names that bound and L."""
+        monkeypatch.setattr(puzzle, "MAX_CROSSINGS", 4000)
+        for m, c, b in itertools.product(range(1, 9), range(1, 9), range(2, 19)):
+            loads = sum(1 <= x + y <= b for x in range(m + 1) for y in range(c + 1))
+            bound = 2 * (m + 1) * (c + 1) * loads
+            p = McParams(m, c, b, -20)
+            if bound > 4000:
+                with pytest.raises(ParamError, match=f"= {bound}, L = {loads} loads, .* 4000$"):
+                    validate_params(p)
+            else:
+                validate_params(p)
 
 
 class TestLegalState:
