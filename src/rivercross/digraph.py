@@ -5,6 +5,15 @@ and the sink vertex n, as `meet_in_the_middle` assumes; the other functions
 take their endpoints as arguments or read them off a `PathCount`, the
 shortest-path DAG that `count_shortest_paths` builds once and that
 `unrank_shortest_path` and `shortest_paths` read.
+
+The rows of the adjacency matrix's powers from a source (`walk_rows`, in
+native integers, so counts never overflow) have two readers: on any digraph
+`count_shortest_walks` reads them forward, and on a puzzle's state graph
+`meet_in_the_middle` meets half as many with their mirrors.  Both give up at
+the support fixpoint that `walk_rows` flags as settled, which is sound on any
+digraph, or, as a fallback for supports that cycle, once they have covered
+every length through n - 1, or n for a closed walk: a shortest path is
+simple, and a shortest closed walk a cycle.
 """
 
 from __future__ import annotations
@@ -184,6 +193,23 @@ def _walk_rows(g: Digraph, source: int) -> Iterator[tuple[list[int], list[int], 
         before, before_support, counts, support = counts, support, nxt, grown
 
 
+def count_shortest_walks(g: Digraph, source: int, target: int) -> tuple[int, int] | None:
+    """Smallest k >= 1 with a source-to-target walk, plus the exact walk count at that k.
+
+    The paper's count: the first power A^k whose (source, target) entry is
+    nonzero gives the length, and that entry the number of shortest walks.
+    None once the rows give up, as the module docstring says.
+    """
+    rows = walk_rows(g, source)
+    _check_vertex(g, target)
+    last = g.n if source == target else g.n - 1
+    for k, (counts, _, settled) in enumerate(rows, start=1):
+        if counts[target]:
+            return k, counts[target]
+        if settled or k == last:
+            return None
+
+
 def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]]) -> tuple[int, int]:
     """Count the shortest 1-to-n walks of a state graph from half the rows of `walk_rows(g, 1)`.
 
@@ -191,10 +217,9 @@ def meet_in_the_middle(rows: Iterator[tuple[list[int], list[int], bool]]) -> tup
     when n+1-v -> n+1-u is one, and every edge flips the boat, so 1-to-n walks
     have odd length, and A^(2k-1)[1,n] = sum over v of A^(k-1)[1,v] * A^k[1,n+1-v].
     Returns (k, count) after k rows: count walks of length 2k-1, 0 if none.
-    No walk is decided on a settled row k: later rows alternate between rows
-    k-2 and k-1, which met at row k-1 and, swapped (alike, as the mirror is an
-    involution), at row k.  As a fallback, it is decided once 2k-1 >= n-1, as
-    a shortest walk is a simple path.
+    A settled row k decides: later rows alternate between rows k-2 and k-1,
+    which met at row k-1 and, swapped (alike, as the mirror is an involution),
+    at row k.  The fallback length n - 1 is covered once 2k-1 >= n-1.
     """
     before, before_support = (0, 1), (1,)  # row 0: the source alone
     for k, (counts, support, settled) in enumerate(rows, start=1):

@@ -14,14 +14,9 @@ the trace's one entry, names the stages and picks the default length.
 The verdict meets the stages in the middle (`digraph.meet_in_the_middle`):
 a solution is a walk from the start met by the mirror image of another, so
 g_i's constant term is the coefficient of x^(amounts) in the product of rows
-i-1 and i of f0, g1, f1, g2, ..., and is read in stage ceil(i/2).
-
-No solution exists once a stage's support is empty or equals the support two
-stages back: each support is the set of successors of the one before, so on
-any state graph the supports then repeat for ever, in pairs already met.
-Supports could cycle with a longer period, so the iteration also stops, as a
-fallback, once it has covered every solution of up to n - 1 crossings, n the
-number of states: a shortest solution visits no state twice.
+i-1 and i of f0, g1, f1, g2, ..., and is read in stage ceil(i/2).  It finds
+no solution where `digraph`'s walk readers give up: at the support fixpoint,
+or after n - 1 crossings, n the number of states.
 """
 
 from __future__ import annotations
@@ -101,9 +96,12 @@ def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
                     ) -> tuple[TransferOutcome, int, Iterator[tuple[str, Polynomial]]]:
     """The verdict, the stage count, and the stages ("f0", poly), ("g1", poly), ... of one pass.
 
-    They run through stage `steps`, else the success stage's g, else stage `states_bound + 1`."""
+    They run through stage `steps`, else the success stage's g, else stage `states_bound + 1`.
+    `steps` may be at most twice that last default, which bounds the output."""
     if steps is not None and steps < 0:
         raise ValueError("stages must be non-negative")
+    if steps is not None and steps > (most := 2 * (legal_state_bound(sp) + 1)):
+        raise ValueError(f"stages must be at most {most}, twice an unsolvable trace's default")
     verdict_reads, rows = tee(walk_rows(sp.state_graph[0], 1))
     outcome = _verdict(sp, verdict_reads)
     stages = steps if steps is not None else outcome.success_index or outcome.states_bound + 1

@@ -24,7 +24,9 @@ does, it exits 0.  The workload is what the byte-identity corpus
   default length and with `--steps 5`, in text and JSON;
 - `sequence` over surplus -2..6, B 1..4, d -1..2 with 1, 5 and 14 terms, and
   `conjecture` over the same grid with 14 terms, by default and with
-  `--max-order 2`, in text and JSON.
+  `--max-order 2`, in text and JSON;
+- `sequence 0 2 0 0` and `conjecture 0 2 0 0`, a family with no terms, in
+  text and JSON.
 
 Stdlib only.  It takes under a minute on a 2-core VM, so it stays out of
 tier-1 (pytest collects only `test_*.py`); CI runs it on pull requests.
@@ -139,6 +141,9 @@ def workload():
     for s, b, d, order, fmt in product(range(-2, 7), range(1, 5), range(-1, 3),
                                        ([], ["--max-order", "2"]), formats):
         argv = ["conjecture", str(s), str(b), str(d), "14", *order, *fmt]
+        yield "cli " + " ".join(argv), cli(argv)
+    for command, fmt in product(("sequence", "conjecture"), formats):
+        argv = [command, "0", "2", "0", "0", *fmt]
         yield "cli " + " ".join(argv), cli(argv)
 
 

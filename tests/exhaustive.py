@@ -5,22 +5,24 @@
 The scope is every species puzzle with amounts (3,), (2,), (1, 1) or (2, 1),
 a boat of 1 to 3 and `allow_empty_boat` either way, whose bank rule is any
 truth table over (populations, boat present) that passes the initial position,
-and whose boat rule is any subset of the nonzero loads that fit the boat.  On
-each puzzle it checks that
+and whose boat rule is any subset of the nonzero loads that fit the boat; and
+every such puzzle with amounts (1, 1, 1) whose bank rule ignores the boat
+side.  On each puzzle it checks that
 
 - `species_graph` equals `reference_species_graph` from `tests/reference.py`,
   or both raise the same ValueError;
 - `states[n-1-k]` is the mirror of `states[k]`: banks swapped, boat flipped;
 - u -> v is an edge exactly when n+1-u -> n+1-v is one, and exactly when
   v -> u is one, and every edge flips the boat;
-- `count_shortest_paths` from 1 to n agrees with `solve_by_transfer`;
+- `count_shortest_paths` from 1 to n agrees with `solve_by_transfer` and
+  with `count_shortest_walks`;
 - on a solvable puzzle, `shortest_paths` lists exactly `count` paths, in
   strictly increasing order, each of `length` crossings from 1 to n along
   edges of the graph, and the k-th is `unrank_shortest_path(counted, k)`.
 
 It prints the scope and the number of puzzles checked and of paths listed, so
 a shrunken scope shows, and at the first failure names the puzzle and exits 1.
-Stdlib only, no pytest; it takes about 30 s on a 2-core VM, so it stays out of
+Stdlib only, no pytest; it takes about 45 s on a 2-core VM, so it stays out of
 tier-1 and CI runs it on its own.
 """
 
@@ -33,20 +35,28 @@ from itertools import product
 from reference import reference_species_graph
 from rivercross import (SpeciesPuzzle, count_shortest_paths, shortest_paths, solve_by_transfer,
                         species_graph, unrank_shortest_path)
+from rivercross.digraph import count_shortest_walks
 
-AMOUNTS = [(3,), (2,), (1, 1), (2, 1)]
+# The amounts of each scope, and whether its bank rules may read the boat side.
+SCOPES = [((3,), True), ((2,), True), ((1, 1), True), ((2, 1), True), ((1, 1, 1), False)]
 BOATS = range(1, 4)
 
 
-def bank_tables(amounts: tuple[int, ...]):
+def bank_tables(amounts: tuple[int, ...], reads_boat: bool):
     """Every bank rule over the box, as a dict of (populations, boat present) -> bool, that
-    passes the initial position: everyone with the boat, and an empty bank without it."""
-    pairs = [(vec, present) for vec in product(*(range(a + 1) for a in amounts))
-             for present in (False, True)]
-    fixed = {(amounts, True): True, (tuple(0 for _ in amounts), False): True}
-    free = [pair for pair in pairs if pair not in fixed]
+    passes the initial position: everyone with the boat, and an empty bank without it.  A rule
+    that does not read the boat gives a vector one answer with the boat and without."""
+    groups = [[(vec, False), (vec, True)] for vec in product(*(range(a + 1) for a in amounts))]
+    if reads_boat:
+        groups = [[pair] for group in groups for pair in group]
+    fixed = {(amounts, True), (tuple(0 for _ in amounts), False)}
+    free = [group for group in groups if fixed.isdisjoint(group)]
+    held = [pair for group in groups if not fixed.isdisjoint(group) for pair in group]
     for answers in product((False, True), repeat=len(free)):
-        yield {**dict(zip(free, answers)), **fixed}
+        table = dict.fromkeys(held, True)
+        for group, answer in zip(free, answers):
+            table.update(dict.fromkeys(group, answer))
+        yield table
 
 
 def boat_rules(amounts: tuple[int, ...], boat: int):
@@ -56,9 +66,9 @@ def boat_rules(amounts: tuple[int, ...], boat: int):
         yield frozenset(load for load, kept in zip(loads, keep) if kept)
 
 
-def puzzles(amounts: tuple[int, ...]):
+def puzzles(amounts: tuple[int, ...], reads_boat: bool):
     """Each puzzle of the scope with these amounts, after the bank table and the loads allowed."""
-    for table in bank_tables(amounts):
+    for table in bank_tables(amounts, reads_boat):
         for boat in BOATS:
             for allowed in boat_rules(amounts, boat):
                 for empty in (False, True):
@@ -106,6 +116,9 @@ def check(sp: SpeciesPuzzle) -> int:
     walk = (outcome.crossings, outcome.count) if outcome.solvable else None
     if dag != walk:
         raise Fault(f"count_shortest_paths gives {dag}, solve_by_transfer {walk}")
+    walks = count_shortest_walks(graph, 1, n)
+    if walks != dag:
+        raise Fault(f"count_shortest_paths gives {dag}, count_shortest_walks {walks}")
     if counted is None:
         return 0
     listed, previous = 0, ()
@@ -128,13 +141,15 @@ def check(sp: SpeciesPuzzle) -> int:
 
 def main() -> int:
     started = time.perf_counter()
-    print(f"scope: amounts {', '.join(map(str, AMOUNTS))}; boats {BOATS.start}..{BOATS.stop - 1}; "
-          "every bank table passing the initial position; every boat-rule subset of the "
-          "fitting loads; allow_empty_boat both ways", flush=True)
+    reading, ignoring = ([str(a) for a, reads in SCOPES if reads is side] for side in (True, False))
+    print(f"scope: amounts {', '.join(reading)} with every bank table passing the initial "
+          f"position, and {', '.join(ignoring)} with every such table that ignores the boat; "
+          f"boats {BOATS.start}..{BOATS.stop - 1}; every boat-rule subset of the fitting loads; "
+          "allow_empty_boat both ways", flush=True)
     total = total_paths = 0
-    for amounts in AMOUNTS:
+    for amounts, reads_boat in SCOPES:
         checked = solved = paths = 0
-        for table, allowed, sp in puzzles(amounts):
+        for table, allowed, sp in puzzles(amounts, reads_boat):
             try:
                 listed = check(sp)
             except Fault as fault:
@@ -144,7 +159,8 @@ def main() -> int:
                 return 1
             checked, solved, paths = checked + 1, solved + bool(listed), paths + listed
         total, total_paths = total + checked, total_paths + paths
-        print(f"amounts {amounts}: {checked:,} puzzles checked, {solved:,} solvable, "
+        print(f"amounts {amounts}{'' if reads_boat else ', bank rules ignoring the boat'}: "
+              f"{checked:,} puzzles checked, {solved:,} solvable, "
               f"{paths:,} shortest solutions listed", flush=True)
     print(f"{total:,} puzzles checked, {total_paths:,} shortest solutions listed, 0 failed; "
           f"{time.perf_counter() - started:.1f} s")

@@ -1,0 +1,97 @@
+"""Hostile command lines, at and just past each documented limit, each run under caps.
+
+    python tests/hostile.py
+
+Each row of `ROWS` holds a command line, the exit status it must give and the
+seconds it may take.  The rows run one at a time, each in a child process
+under a 256 MiB address-space cap (`RLIMIT_AS`) and its time limit, as CI's
+`bounded-memory` job runs its cases.  A row passes when the child exits with
+its status in time, writes no `Traceback` to stderr and, when it refuses an
+input (exit 1), writes nothing to stdout.  Each row prints its status and
+wall time.
+
+A row marked known fails today for a reason that a ROADMAP item names.  It is
+reported and never fails the run; the change that mends it drops the mark.
+The script exits 1 when a row that is not marked fails.  Stdlib only; about
+30 s on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 256 << 20  # bytes
+
+ROWS = [  # argv, the exit status it must give, its time limit in s, and why it is known to fail
+    ("solve 400 400 2 0", 1, 5, None),  # the state box, 160,801 against 100,000
+    ("count 50000 1 2 0", 1, 5, None),  # the state box, 100,002
+    ("count 54 54 54 -54", 0, 10, None),  # the crossing bound, 9.3 million: just inside
+    ("count 300 300 600 -600", 1, 5, None),  # the crossing bound, 1.6 * 10^10
+    ("trace 3 3 2 0 --steps 22", 0, 5, None),  # --steps at twice the unsolvable default
+    ("trace 3 3 2 0 --steps 100000", 1, 5, None),
+    ("count 49999 1 2 0 --method graph", 0, 10,
+     "item 24: the DAG count keeps every label, about 981 MB"),
+    ("count 10000 1 2 0", 0, 10, "item 7: the walk is unbounded, over 25 s"),
+    ("sequence 0 2 0 300", 0, 5, "items 7 and 16: each member compiles and walks, about 9 s"),
+]
+
+
+def _cap():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_row(argv: list[str], want: int, limit: float) -> tuple[str, float, str | None]:
+    """The child's status, its wall time, and what is wrong with the run, or None."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    # Files, not pipes, so a row that writes without end costs disk here, not memory.
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        try:
+            status = subprocess.run([sys.executable, "-m", "rivercross.cli", *argv], env=env,
+                                    stdout=out, stderr=err, timeout=limit,
+                                    preexec_fn=_cap).returncode
+        except subprocess.TimeoutExpired:
+            return "-", time.perf_counter() - started, f"no exit within {limit} s"
+        wall = time.perf_counter() - started
+        written = out.seek(0, os.SEEK_END)
+        err.seek(0)
+        traceback = b"Traceback" in err.read()
+    if status != want:
+        return str(status), wall, f"exit {status}, not {want}"
+    if traceback:
+        return str(status), wall, "a traceback on stderr"
+    if want == 1 and written:
+        return str(status), wall, f"{written} bytes on stdout from a refusal"
+    return str(status), wall, None
+
+
+def main() -> int:
+    started = time.perf_counter()
+    print(f"{'exit':>4} {'want':>4} {'wall s':>7}  {'argv':<34} result", flush=True)
+    failed = known = 0
+    for line, want, limit, why in ROWS:
+        status, wall, fault = run_row(line.split(), want, limit)
+        if fault is None:
+            result = "ok" + (f" (marked known, {why})" if why else "")
+        elif why:
+            known += 1
+            result = f"known: {fault}; {why}"
+        else:
+            failed += 1
+            result = f"FAIL: {fault}"
+        print(f"{status:>4} {want:>4} {wall:7.2f}  {line:<34} {result}", flush=True)
+    print(f"{len(ROWS)} rows, {known} known, {failed} failed; "
+          f"{time.perf_counter() - started:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,7 @@ from rivercross.strategies import (
     validate_solution,
 )
 from rivercross.transfer import cleanup, transfer_trace
-from rivercross.walkcount import count_shortest_walks
+from rivercross.digraph import count_shortest_walks
 
 from classic import (
     CLASSIC,

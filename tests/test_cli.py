@@ -200,6 +200,24 @@ class TestTrace:
         assert status == 1
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_steps_stop_at_twice_the_unsolvable_default(self, capsys, monkeypatch, fmt):
+        # (3, 3, 2, 0) has 10 legal states: an unsolvable trace would end at stage 11.
+        status, out, _ = run(capsys, "trace", "3", "3", "2", "0", "--steps", "22", "--format", fmt)
+        names = (list(json.loads(out)["polynomials"]) if fmt == "json"
+                 else [line.split(" = ")[0] for line in out.splitlines()[1:]])
+        assert status == 0 and len(names) == 45 and "f22" in names
+
+        def no_rows(*args):
+            raise AssertionError("a refused trace reads no row")
+
+        monkeypatch.setattr(transfer, "walk_rows", no_rows)
+        for steps in ("23", "100000"):
+            status, out, err = run(capsys, "trace", "3", "3", "2", "0", "--steps", steps,
+                                   "--format", fmt)
+            assert (status, out) == (1, "")
+            assert err == "error: stages must be at most 22, twice an unsolvable trace's default\n"
+
 
 class _Recorder(io.StringIO):
     """A stdout that notes, for each line written, what `probe()` read at that moment."""

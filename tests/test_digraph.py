@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rivercross.digraph import (
     Digraph,
     count_shortest_paths,
+    count_shortest_walks,
     shortest_distance,
     shortest_paths,
     unrank_shortest_path,
@@ -323,6 +324,10 @@ def test_count_matches_plain_bfs_and_brute_force(case):
     pytest.param(lambda g: count_shortest_paths(g, 1, 3), "vertex 3 outside 1..2", id="target"),
     pytest.param(lambda g: shortest_distance(g, -1, 1), "vertex -1 outside 1..2", id="distance"),
     pytest.param(lambda g: walk_rows(g, 3), "vertex 3 outside 1..2", id="walk_rows"),
+    pytest.param(lambda g: count_shortest_walks(g, 0, 2), "vertex 0 outside 1..2",
+                 id="walks_source"),
+    pytest.param(lambda g: count_shortest_walks(g, 1, 3), "vertex 3 outside 1..2",
+                 id="walks_target"),
 ])
 def test_vertices_outside_the_graph_raise(call, message):
     with pytest.raises(ValueError) as raised:

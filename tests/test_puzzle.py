@@ -27,7 +27,7 @@ from rivercross import puzzle
 from rivercross.digraph import count_shortest_paths, unrank_shortest_path
 from rivercross.puzzle import MAX_CROSSINGS, species_loads
 from rivercross.transfer import solve_by_transfer
-from rivercross.walkcount import count_shortest_walks
+from rivercross.digraph import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_SOLUTIONS
 from reference import reference_species_graph, reference_state_ok

@@ -28,7 +28,7 @@ from rivercross.transfer import (
     solve_by_transfer,
     transfer_trace,
 )
-from rivercross.walkcount import count_shortest_walks
+from rivercross.digraph import count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_F, CLASSIC_G
 from reference import (
