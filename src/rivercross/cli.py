@@ -81,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:  # ParamError included
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except MemoryError:  # only before the first byte; a later one stays a traceback
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_USAGE
         for piece in pieces:
             sys.stdout.write(piece)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -4,20 +4,21 @@
 
 Each row of `ROWS` holds a command line, the exit status it must give and the
 seconds it may take.  The rows run one at a time, each in a child process
-under a 256 MiB address-space cap (`RLIMIT_AS`) and its time limit, as CI's
-`bounded-memory` job runs its cases.  A row passes when the child exits with
-its status in time, writes no `Traceback` to stderr and, when it refuses an
-input (exit 1), writes nothing to stdout.  Each row prints its status and
-wall time.
+under a 256 MiB address-space cap (`RLIMIT_AS`) and its time limit.  A row
+passes when the child exits with its status in time, writes no `Traceback` to
+stderr and, when it refuses an input (exit 1), writes nothing to stdout.  A
+row may also pin its stdout: the byte count, the newline count and a sha256
+prefix, which the run must match.  Each row prints its status and wall time.
 
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
 The script exits 1 when a row that is not marked fails.  Stdlib only; about
-30 s on a 2-core VM.
+45 s on a 2-core VM.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -29,17 +30,30 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 256 << 20  # bytes
 
-ROWS = [  # argv, the exit status it must give, its time limit in s, and why it is known to fail
+ROWS = [  # argv, the exit status it must give, its time limit in s, why it is known to fail,
+    # and optionally the bytes, newlines and sha256 prefix its stdout must have
     ("solve 400 400 2 0", 1, 5, None),  # the state box, 160,801 against 100,000
     ("count 50000 1 2 0", 1, 5, None),  # the state box, 100,002
     ("count 54 54 54 -54", 0, 10, None),  # the crossing bound, 9.3 million: just inside
     ("count 300 300 600 -600", 1, 5, None),  # the crossing bound, 1.6 * 10^10
     ("trace 3 3 2 0 --steps 22", 0, 5, None),  # --steps at twice the unsolvable default
     ("trace 3 3 2 0 --steps 100000", 1, 5, None),
+    # `solve --all` streams its listing in both formats, so the cap holds the 254,114 solutions
+    # of (14,2,3,-1) in text and the 67,500 of (6,5,2,-1) in JSON, which needed 626 MB before
+    # its array streamed.  The pins hold their bytes too: the corpus skips `--all` at negative
+    # margins.
+    ("solve 14 2 3 -1 --all", 0, 60, None, (38_080_958, 254_117, "449fd1f74ba663da")),
+    ("solve 6 5 2 -1 --all --format json --deterministic", 0, 60, None,
+     (66_960_279, 6_885_018, "530d62bec3194fcf")),
     ("count 49999 1 2 0 --method graph", 0, 10,
      "item 24: the DAG count keeps every label, about 981 MB"),
-    ("count 10000 1 2 0", 0, 10, "item 7: the walk is unbounded, over 25 s"),
-    ("sequence 0 2 0 300", 0, 5, "items 7 and 16: each member compiles and walks, about 9 s"),
+    ("solve 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
+    ("spell 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
+    ("trace 2000 1 2 0", 0, 10, "item 25: the verdict's rows are held until they print"),
+    ("count 10000 1 2 0", 0, 10, "item 27: the walk is unbounded, over 25 s"),
+    ("sequence 0 2 0 300", 0, 5, "items 16 and 27: each member compiles and walks, about 9 s"),
+    ("sequence 49998 2 0 1", 0, 5, "item 27: its one member, (49999,1,2,0), walks"),
+    ("count 49998 1 2 0 --method matrix", 0, 5, "item 27: the walk is unbounded"),
 ]
 
 
@@ -47,7 +61,19 @@ def _cap():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_row(argv: list[str], want: int, limit: float) -> tuple[str, float, str | None]:
+def _stdout_pin(out, digits: int) -> tuple[int, int, str]:
+    """The bytes, newlines and first hex digits of the sha256 of a file, read in 64 KiB chunks."""
+    digest, size, lines = hashlib.sha256(), 0, 0
+    out.seek(0)
+    for chunk in iter(lambda: out.read(1 << 16), b""):
+        digest.update(chunk)
+        size += len(chunk)
+        lines += chunk.count(b"\n")
+    return size, lines, digest.hexdigest()[:digits]
+
+
+def run_row(argv: list[str], want: int, limit: float,
+            pin: tuple[int, int, str] | None = None) -> tuple[str, float, str | None]:
     """The child's status, its wall time, and what is wrong with the run, or None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -64,21 +90,25 @@ def run_row(argv: list[str], want: int, limit: float) -> tuple[str, float, str |
         written = out.seek(0, os.SEEK_END)
         err.seek(0)
         traceback = b"Traceback" in err.read()
+        got = _stdout_pin(out, len(pin[2])) if pin else None
     if status != want:
         return str(status), wall, f"exit {status}, not {want}"
     if traceback:
         return str(status), wall, "a traceback on stderr"
     if want == 1 and written:
         return str(status), wall, f"{written} bytes on stdout from a refusal"
+    if pin and got != pin:
+        return str(status), wall, f"stdout (bytes, newlines, sha256) {got}, pinned {pin}"
     return str(status), wall, None
 
 
 def main() -> int:
     started = time.perf_counter()
-    print(f"{'exit':>4} {'want':>4} {'wall s':>7}  {'argv':<34} result", flush=True)
+    width = max(len(row[0]) for row in ROWS)
+    print(f"{'exit':>4} {'want':>4} {'wall s':>7}  {'argv':<{width}} result", flush=True)
     failed = known = 0
-    for line, want, limit, why in ROWS:
-        status, wall, fault = run_row(line.split(), want, limit)
+    for line, want, limit, why, *pin in ROWS:
+        status, wall, fault = run_row(line.split(), want, limit, *pin)
         if fault is None:
             result = "ok" + (f" (marked known, {why})" if why else "")
         elif why:
@@ -87,7 +117,7 @@ def main() -> int:
         else:
             failed += 1
             result = f"FAIL: {fault}"
-        print(f"{status:>4} {want:>4} {wall:7.2f}  {line:<34} {result}", flush=True)
+        print(f"{status:>4} {want:>4} {wall:7.2f}  {line:<{width}} {result}", flush=True)
     print(f"{len(ROWS)} rows, {known} known, {failed} failed; "
           f"{time.perf_counter() - started:.1f} s")
     return 1 if failed else 0

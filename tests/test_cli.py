@@ -1,14 +1,19 @@
+import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rivercross import McParams, cli, mc_species, solve_by_transfer, transfer
+from rivercross import McParams, Strategy, cli, mc_species, solve_by_transfer, transfer
 from rivercross.cli import main
 from rivercross.puzzle import MAX_STATE_BOX
 
@@ -73,6 +78,13 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert err == f"error: index {index} out of range: {count} solutions exist\n"
 
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "count_shortest_paths", exhausted)
+        assert run(capsys, "solve", "3", "3", "2", "0") == (1, "", "error: out of memory\n")
+
     def test_spell_unsolvable_is_two(self, capsys):
         status, out, _ = run(capsys, "spell", "4", "4", "2", "0")
         assert status == 2
@@ -129,6 +141,52 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1.0
         assert (status, out) == (1, "")
         assert err.startswith("error: crossing bound 2(M+1)(C+1)L = 16416901200, ")
+
+
+SMALL = st.integers(-1, 6).map(str)
+INSTANCE = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 5), st.integers(-2, 2))
+FAMILY = st.tuples(st.integers(-2, 5), st.integers(1, 4), st.integers(-2, 2), st.integers(-1, 8))
+OWN_OPTION = {  # each subcommand's own option and its value, if it has one
+    "solve": st.just(["--all"]),
+    "spell": st.tuples(st.just("--index"), SMALL),
+    "count": st.tuples(st.just("--method"), st.sampled_from(["graph", "matrix", "transfer", "x"])),
+    "trace": st.tuples(st.just("--steps"), st.integers(-1, 24).map(str)),
+    "strategy": st.tuples(st.just("--name"), st.sampled_from([s.value for s in Strategy])),
+    "sequence": st.just([]),
+    "conjecture": st.tuples(st.just("--max-order"), SMALL),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command line of any subcommand and flags, in any order, with small integers."""
+    command = draw(st.sampled_from(sorted(OWN_OPTION)))
+    positional = draw(FAMILY if command in ("sequence", "conjecture") else INSTANCE)
+    flags = [draw(OWN_OPTION[command]), ["--format", draw(st.sampled_from(["text", "json"]))],
+             ["--deterministic"]]
+    if command == "solve" and positional[3] < 0:
+        flags[0] = []  # negative margins list fast: (6,5,2,-1) has 67,500 solutions
+    chosen = draw(st.permutations([flag for flag in flags if draw(st.booleans())]))
+    return [command, *map(str, positional), *itertools.chain.from_iterable(chosen)]
+
+
+class TestGrammar:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(argvs(), st.sampled_from(
+        [["--help"], ["--version"], *([command, "--help"] for command in OWN_OPTION)])))
+    def test_every_status_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse: --help or --version (0), or a usage error (1)
+                assert exc.code in (0, 1), argv
+                assert exc.code == 0 or out.getvalue() == "", argv
+                return
+        assert status in (0, 1, 2), argv
+        if status == 1:
+            assert out.getvalue() == "", argv
+            assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
 
 
 class TestGoldenText:
