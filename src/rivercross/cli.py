@@ -4,7 +4,8 @@ The exit codes and the output contract are the parser's description, which `--he
 
 JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document,
 but writes a lazy field in pieces: `solve --all` one solution at a time, so its
-memory is bounded by the state graph, and `trace` one stage at a time.
+memory is bounded by the state graph, and `trace` one stage at a time, each
+straight from its walk row with text made once per state, not through json's encoder.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .puzzle import (
 from .strategies import Strategy, applicability, build_strategy
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .families import FamilySpec
 
 EXIT_OK = 0
@@ -111,10 +114,11 @@ def _lazy(value) -> bool:
 def _json_pieces(value, pad: str = "\n"):
     """The text of `json.dumps(value, sort_keys=True, indent=2)`, nested where lines start with `pad`.
 
-    A value that is not lazy is one dumps call.  An iterator is written as an
-    array one element at a time, and a lazy dict one entry at a time in key
-    order; a thunk is called at its turn.  json escapes the newlines inside
-    strings, so re-indenting a piece's lines changes nothing else.
+    A value that is not lazy is one dumps call, or an `_Encoded` text written as
+    it is.  An iterator is written as an array one element at a time, and a lazy
+    dict one entry at a time in key order; a thunk is called at its turn.  json
+    escapes the newlines inside strings, so re-indenting a piece's lines changes
+    nothing else.
     """
     import json
     if callable(value):
@@ -124,7 +128,8 @@ def _json_pieces(value, pad: str = "\n"):
     elif hasattr(value, "__next__"):
         items, ends = (("", item) for item in value), "[]"
     else:
-        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+        yield (value if isinstance(value, _Encoded)
+               else json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
         return
     inner, sep = pad + "  ", ends[0]
     for key, item in items:
@@ -132,6 +137,41 @@ def _json_pieces(value, pad: str = "\n"):
         yield from _json_pieces(item, inner)
         sep = ","
     yield ends if sep == ends[0] else pad + ends[1]
+
+
+class _Encoded(str):
+    """JSON text that `_json_pieces` writes as it is: its writer indented it for its place."""
+
+
+def _terms_writer(states: tuple[SpeciesState, ...], pad: str
+                  ) -> Callable[[list[int], list[int]], _Encoded]:
+    """A writer of a trace stage, given as its walk row (counts, support) on the state graph
+    whose vertices `states` names: the text of `json.dumps(polynomial_terms(poly), indent=2)`
+    for the stage's polynomial, each newline followed by `pad`'s indent.
+
+    A term is `head`, its coefficient, then `rest[v]`: vertex v's exponents and the next
+    term's `head`, made once per vertex.  A row holds one boat side, so no two of its vertices
+    share populations, and `rank[v]`, the place of v's populations in `polynomial_terms` order,
+    orders it.  So a term costs its coefficient's digits and C-level lookups, no Python call."""
+    from .transfer import polynomial_terms
+    vecs = [vec for vec, _ in states]
+    place = {vec: i for i, (_, vec) in enumerate(polynomial_terms(dict.fromkeys(vecs)))}
+    rank = [0, *map(place.__getitem__, vecs)]
+    head = pad + "  [" + pad + "    "
+    exponents = ("[" + ",".join([pad + "      %d"] * len(vecs[0])) + pad + "    ]"
+                 if vecs[0] else "[]")
+    rest = [None, *map(("," + pad + "    " + exponents + pad + "  ]," + head).__mod__, vecs)]
+
+    def write(counts: list[int], support: list[int]) -> _Encoded:
+        if not support:
+            return _Encoded("[]")
+        support = sorted(support, key=rank.__getitem__)
+        parts = [""] * (2 * len(support))
+        parts[::2] = map(str, map(counts.__getitem__, support))
+        parts[1::2] = map(rest.__getitem__, support)
+        return _Encoded("[" + head + "".join(parts)[:-len("," + head)] + pad + "]")
+
+    return write
 
 
 @functools.cache
@@ -320,19 +360,25 @@ def _cmd_count(args):
 
 
 def _cmd_trace(args):
-    from .transfer import format_polynomial, polynomial_terms, solve_and_trace
+    from .transfer import format_polynomial, trace_rows
     p = _params(args)
+    sp = mc_species(p)
     # One lazy pass over the stages, read by one format only.  "f10" sorts before "f2", so
-    # JSON holds every stage as its polynomial and encodes each at its turn.
-    outcome, stages, polys = solve_and_trace(mc_species(p), args.steps)
+    # JSON holds every stage's row and writes each at its turn.
+    outcome, stages, rows = trace_rows(sp, args.steps)
+    states = sp.state_graph[1]
+
+    def polynomials():
+        write = _terms_writer(states, "\n    ")  # a stage sits in "polynomials", in the document
+        return {name: functools.partial(write, counts, support) for name, counts, support in rows}
+
     payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
-               "states_bound": outcome.states_bound,
-               "polynomials": lambda: {name: functools.partial(polynomial_terms, poly)
-                                       for name, poly in polys}}
+               "states_bound": outcome.states_bound, "polynomials": polynomials}
 
     def text():
         yield _params_line(p)
-        for name, poly in polys:
+        for name, counts, support in rows:
+            poly = {states[v - 1][0]: counts[v] for v in support}
             yield f"{name} = {format_polynomial(poly)}"
         if args.steps is None and outcome.solvable:
             yield (f"success: constant term {outcome.count} at stage {outcome.success_index}; "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .puzzle import McParams, mc_species, validate_params
 from .transfer import format_signed_sum, solve_by_transfer
@@ -102,18 +102,8 @@ def fit_linear_recurrence(
             f"insufficient data: need at least {2 * max_order + offset + 2} terms, "
             f"got {len(seq)}"
         )
-    tail = [Fraction(v) for v in seq[offset:]]
-    # conn is C for the terms read so far, of order length; prev is C as it
-    # stood before the last change of length, at term last, with discrepancy prev_d.
-    conn, prev, prev_d, length, last = [Fraction(1)], [Fraction(1)], Fraction(1), 0, -1
-    for n, v in enumerate(tail):
-        d = v + sum(conn[j] * tail[n - j] for j in range(1, length + 1))
-        if d == 0:
-            continue
-        q, old = d / prev_d, conn
-        conn = [a - q * b for a, b in zip_longest(conn, [0] * (n - last) + prev, fillvalue=0)]
-        if 2 * length <= n:
-            length, prev, prev_d, last = n + 1 - length, old, d, n
+    for length, conn in _berlekamp_massey(seq[offset:]):
+        pass  # the last prefix is the whole tail
     if not 1 <= length <= max_order or conn[length] == 0:
         return None
     return LinearRecurrence(
@@ -122,6 +112,24 @@ def fit_linear_recurrence(
         offset=offset,
         initial=tuple(seq[offset:offset + length]),
     )
+
+
+def _berlekamp_massey(seq: Sequence[int]) -> Iterator[tuple[int, list[Fraction]]]:
+    """Berlekamp-Massey over the rationals: after each term, the linear complexity L of the
+    prefix read so far and its connection polynomial C = 1 - c_1 x - ... - c_L x^L, as the
+    coefficients of C (Massey, IEEE Trans. Inf. Theory 15(1), 1969)."""
+    terms = [Fraction(v) for v in seq]
+    # conn is C for the terms read so far, of order length; prev is C as it
+    # stood before the last change of length, at term last, with discrepancy prev_d.
+    conn, prev, prev_d, length, last = [Fraction(1)], [Fraction(1)], Fraction(1), 0, -1
+    for n, v in enumerate(terms):
+        d = v + sum(conn[j] * terms[n - j] for j in range(1, length + 1))
+        if d != 0:
+            q, old = d / prev_d, conn
+            conn = [a - q * b for a, b in zip_longest(conn, [0] * (n - last) + prev, fillvalue=0)]
+            if 2 * length <= n:
+                length, prev, prev_d, last = n + 1 - length, old, d, n
+        yield length, conn
 
 
 def rational_gf(rec: LinearRecurrence, head: Sequence[int]) -> RationalGF:
@@ -210,7 +218,8 @@ class ConjectureReport(NamedTuple):
 
 
 def conjecture_report(fs: FamilySpec, max_order: int) -> ConjectureReport:
-    """Fit the family's counting sequence, trying later and later starting points."""
+    """Fit the family's counting sequence, trying later and later starting points, each
+    only when its tail's linear complexity leaves a fit possible."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     counts = family_counts(fs)
@@ -220,10 +229,16 @@ def conjecture_report(fs: FamilySpec, max_order: int) -> ConjectureReport:
     valid_from = None
     series_ok = False
     if any(v is not None for v in counts):
+        # An order-L fit at an offset, its last coefficient nonzero, also runs backwards over
+        # that tail, so the tail's linear complexity is at most L; one pass over the reversed
+        # counts gives every tail's.  A tail of complexity 0 is all zeros and has no fit.
+        complexity = [length for length, _ in _berlekamp_massey(numeric[::-1])][::-1]
         for offset in range(len(numeric)):
             usable = min(max_order, (len(numeric) - offset - 2) // 2)
             if usable < 1:
                 break
+            if not 1 <= complexity[offset] <= usable:
+                continue
             rec = fit_linear_recurrence(numeric, usable, offset)
             if rec is not None:
                 valid_from = offset + 1

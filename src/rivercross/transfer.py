@@ -8,8 +8,9 @@ its successors are what survives one crossing, so the stages are the rows of
 the graph's adjacency powers from the initial state (the transfer-matrix
 method), read from `digraph.walk_rows` on the puzzle's `state_graph`.  The
 first forward stage g_i with a constant term proves the puzzle solvable, and
-that term is the exact number of shortest solutions.  `solve_and_trace(sp, steps)`,
-the trace's one entry, names the stages and picks the default length.
+that term is the exact number of shortest solutions.  `trace_rows(sp, steps)`,
+the trace's one entry, names the stages and picks the default length;
+`solve_and_trace` decodes its rows into polynomials.
 
 The verdict meets the stages in the middle (`digraph.meet_in_the_middle`):
 a solution is a walk from the start met by the mirror image of another, so
@@ -92,9 +93,11 @@ def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
     return _verdict(sp, walk_rows(sp.state_graph[0], 1))
 
 
-def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
-                    ) -> tuple[TransferOutcome, int, Iterator[tuple[str, Polynomial]]]:
-    """The verdict, the stage count, and the stages ("f0", poly), ("g1", poly), ... of one pass.
+def trace_rows(sp: SpeciesPuzzle, steps: int | None = None
+               ) -> tuple[TransferOutcome, int, Iterator[tuple[str, list[int], list[int]]]]:
+    """The verdict, the stage count, and the stages ("f0", counts, support), ("g1", counts,
+    support), ... of one pass, each a row of the walk on `sp.state_graph`: its polynomial has
+    a term counts[v] * x^e for each vertex v of `support`, e the start-bank populations of v.
 
     They run through stage `steps`, else the success stage's g, else stage `states_bound + 1`.
     `steps` may be at most twice that last default, which bounds the output."""
@@ -102,16 +105,27 @@ def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
         raise ValueError("stages must be non-negative")
     if steps is not None and steps > (most := 2 * (legal_state_bound(sp) + 1)):
         raise ValueError(f"stages must be at most {most}, twice an unsolvable trace's default")
-    verdict_reads, rows = tee(walk_rows(sp.state_graph[0], 1))
+    graph = sp.state_graph[0]
+    verdict_reads, rows = tee(walk_rows(graph, 1))
     outcome = _verdict(sp, verdict_reads)
     stages = steps if steps is not None else outcome.success_index or outcome.states_bound + 1
     names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
     if outcome.solvable and steps is None:
         names.pop()  # the success stage ends on its forward polynomial
-    # The rows g1, f1, g2, f2, ... decoded into polynomials over the start-bank populations.
+    start = [0] * (graph.n + 1)
+    start[1] = 1  # f0: the initial state, vertex 1, alone
+    return outcome, stages, chain([("f0", start, [1])], (
+        (name, counts, support) for name, (counts, support, _) in zip(names, rows)))
+
+
+def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
+                    ) -> tuple[TransferOutcome, int, Iterator[tuple[str, Polynomial]]]:
+    """`trace_rows` with each stage decoded: ("f0", poly), ("g1", poly), ..., each polynomial
+    over the start-bank populations."""
+    outcome, stages, rows = trace_rows(sp, steps)
     states = sp.state_graph[1]
-    polys = ({states[v - 1][0]: counts[v] for v in support} for counts, support, _ in rows)
-    return outcome, stages, chain([("f0", {sp.amounts: 1})], zip(names, polys))
+    return outcome, stages, ((name, {states[v - 1][0]: counts[v] for v in support})
+                             for name, counts, support in rows)
 
 
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
@@ -122,8 +136,10 @@ def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
 
 def polynomial_terms(poly: Polynomial) -> list[tuple[int, Exponents]]:
     """(coefficient, exponents) pairs in display order: descending total degree, then
-    descending exponents.  `format_polynomial` and JSON `trace` both read this order."""
-    return [(poly[mono], mono) for mono in sorted(poly, key=lambda m: (sum(m), m), reverse=True)]
+    descending exponents.  `format_polynomial` and JSON `trace` both read this order.
+
+    The sort by total degree is stable, so it keeps the exponents' order among equals."""
+    return [(poly[mono], mono) for mono in sorted(sorted(poly, reverse=True), key=sum, reverse=True)]
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -26,7 +26,10 @@ does, it exits 0.  The workload is what the byte-identity corpus
   `conjecture` over the same grid with 14 terms, by default and with
   `--max-order 2`, in text and JSON;
 - `sequence 0 2 0 0` and `conjecture 0 2 0 0`, a family with no terms, in
-  text and JSON.
+  text and JSON;
+- `trace 300 1 2 0 --steps 100` (201 stages, 20,501 terms, coefficients up
+  to 331 bits) and `trace 80 80 8 0`, in text and JSON, so that the JSON
+  stage writer meets big coefficients and many terms.
 
 Stdlib only.  It takes under a minute on a 2-core VM, so it stays out of
 tier-1 (pytest collects only `test_*.py`); CI runs it on pull requests.
@@ -144,6 +147,10 @@ def workload():
         yield "cli " + " ".join(argv), cli(argv)
     for command, fmt in product(("sequence", "conjecture"), formats):
         argv = [command, "0", "2", "0", "0", *fmt]
+        yield "cli " + " ".join(argv), cli(argv)
+    for instance, fmt in product((["300", "1", "2", "0", "--steps", "100"], ["80", "80", "8", "0"]),
+                                 formats):
+        argv = ["trace", *instance, *fmt]
         yield "cli " + " ".join(argv), cli(argv)
 
 

@@ -4,7 +4,8 @@ Dense adjacency-matrix powers and their symbolic counterpart, which labels
 every edge so each monomial of a matrix entry reconstructs one concrete path,
 plus seeded random digraph generators, and a species puzzle's states, state
 graph and transfer stage computed by direct loops over loads and banks, and a
-recurrence fit that solves every order in turn by Gauss-Jordan elimination.  From
+recurrence fit that solves every order in turn by Gauss-Jordan elimination, tried
+at every offset in turn as a family's conjecture does.  From
 the package this module takes only data types, never a rule or a kernel, so a
 fault in the package cannot hide behind an oracle that shares it.
 """
@@ -269,6 +270,26 @@ def reference_fit_recurrence(seq, max_order: int, offset: int = 0):
         if all(tail[n] == sum(c * tail[n - j] for j, c in enumerate(coeffs, start=1))
                for n in range(order, hi)):
             return order, tuple(coeffs), offset, tuple(int(v) for v in tail[:order])
+    return None
+
+
+def reference_conjecture_fit(counts, max_order: int):
+    """The fit `conjecture_report` makes, as (fit, valid_from_term), or None.
+
+    `counts` is a family's terms, None for an unsolvable one.  Every offset is
+    tried in turn with the most orders its tail allows, and the first fit wins;
+    `fit` is as `reference_fit_recurrence` gives it.
+    """
+    if all(v is None for v in counts):
+        return None
+    numeric = [0 if v is None else v for v in counts]
+    for offset in range(len(numeric)):
+        usable = min(max_order, (len(numeric) - offset - 2) // 2)
+        if usable < 1:
+            break
+        fit = reference_fit_recurrence(numeric, usable, offset)
+        if fit is not None:
+            return fit, offset + 1
     return None
 
 

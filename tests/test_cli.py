@@ -345,6 +345,8 @@ class TestJsonStreams:
         (("solve", "4", "4", "2", "0"), 2),
         (("solve", "3", "3", "2", "0"), 0),
         (("solve", "3", "3", "2", "-1", "--all"), 0),
+        (("trace", "20", "20", "4", "0"), 0),
+        (("trace", "9", "9", "3", "0", "--steps", "30"), 0),
     ])
     @pytest.mark.parametrize("timed", [False, True])
     def test_bytes_are_one_dumps_of_the_document(self, capsys, argv, status, timed):
@@ -360,6 +362,30 @@ class TestJsonStreams:
                 "c": iter([iter([1, 2]), {"k": iter([])}, "s"]), "d": {}}
         assert cli._lazy(lazy) and not cli._lazy(plain)
         assert "".join(cli._json_pieces(lazy)) == json.dumps(plain, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("poly", [
+        {(1, 2): 2**64, (2, 1): 2**64 - 1, (0, 0): 1},
+        {(3, 0): 7 ** 5916, (0, 3): -(10 ** 4999)},  # 5,000 digits each; `main` lifts the limit
+        {},
+        {(4,): 3, (0,): 1, (2,): 5},
+        {(1, 0, 2): 9, (0, 3, 0): 8, (3, 0, 0): 7, (0, 0, 0): 6},
+        {(): 12},
+    ])
+    def test_terms_are_those_of_dumps(self, poly):
+        """A stage written from its walk row is the text json's encoder writes, at its indent."""
+        states = tuple((mono, 0) for mono in poly) or (((0, 0), 0),)  # vertex v: v-th monomial
+        counts, support = [0, *poly.values()], list(range(len(poly), 0, -1))
+        write = cli._terms_writer(states, "\n    ")
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            terms = transfer.polynomial_terms(poly)
+            assert write(counts, support) == json.dumps(terms, indent=2).replace("\n", "\n    ")
+            lazy = {"params": [1, 2], "polynomials": lambda: {"f0": lambda: write(counts, support)}}
+            assert "".join(cli._json_pieces(lazy)) == json.dumps(
+                {"params": [1, 2], "polynomials": {"f0": terms}}, sort_keys=True, indent=2)
+        finally:
+            sys.set_int_max_str_digits(digits)
 
     def test_solve_all_writes_each_solution_as_it_is_listed(self, monkeypatch):
         real, pulled = cli.shortest_paths, []

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,11 @@ from rivercross import (
     series_coefficients,
     solve_mc,
 )
+from rivercross import families
 from rivercross.families import LinearRecurrence, RationalGF, format_recurrence
 
 from classic import FIB_FAMILY_TERMS, fibonacci
-from reference import reference_fit_recurrence
+from reference import reference_conjecture_fit, reference_fit_recurrence
 
 
 class TestFamilyCounts:
@@ -159,6 +161,32 @@ def test_fit_matches_per_order_elimination(seq):
             rec = fit_linear_recurrence(seq, max_order, offset)
             fields = None if rec is None else (rec.order, rec.coefficients, rec.offset, rec.initial)
             assert fields == reference_fit_recurrence(seq, max_order, offset), (max_order, offset)
+
+
+@st.composite
+def family_terms(draw):
+    """A family's terms: a head of 0..10 arbitrary ones, None (unsolvable) among them, then an
+    integer recurrence of order 0..6 with coefficients in -3..3; 10 to 20 terms in all."""
+    head = draw(st.lists(st.one_of(st.none(), st.integers(0, 99)), max_size=10))
+    order = draw(st.integers(0, 6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    body = draw(st.lists(st.integers(0, 99), min_size=order, max_size=order))
+    length = draw(st.integers(max(10, len(head) + order), 20))
+    while len(head) + len(body) < length:
+        body.append(sum(c * body[-j] for j, c in enumerate(coeffs, start=1)))
+    return head + body
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(family_terms(), st.sampled_from([1, 2, 4, 6]))
+def test_conjecture_fits_as_trying_every_offset_does(counts, max_order):
+    """Skipping the offsets whose tail's linear complexity rules a fit out changes no report."""
+    with mock.patch.object(families, "family_counts", lambda fs: list(counts)):
+        report = conjecture_report(FamilySpec(0, 2, 0, len(counts)), max_order)
+    rec = report.recurrence
+    got = None if rec is None else (
+        (rec.order, rec.coefficients, rec.offset, rec.initial), report.valid_from_term)
+    assert got == reference_conjecture_fit(counts, max_order)
 
 
 class TestRationalGF:

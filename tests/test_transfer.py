@@ -468,6 +468,14 @@ class TestFormatting:
                 range(2, len(monos) + 2))
             assert [mono for _, mono in polynomial_terms(poly)] == want
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 4).flatmap(lambda species: st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * species), st.integers(-5, 5), max_size=40)))
+    def test_order_is_one_key_descending(self, poly):
+        """The two stable sorts give the order of the key (total degree, exponents), descending."""
+        order = sorted(poly, key=lambda m: (sum(m), m), reverse=True)
+        assert polynomial_terms(poly) == [(poly[mono], mono) for mono in order]
+
     def test_zero_polynomial(self):
         assert format_polynomial({}) == "0"
 
