@@ -182,12 +182,13 @@ def _parser() -> _Parser:
     `sys.stderr` and `COLUMNS` only when it prints."""
     parser = _Parser(prog="rivercross", description=(
         "Command-line interface. Exit codes: 0 for success (including a solvable instance), "
-        "2 when the instance is provably unsolvable, 1 on usage errors. A stdout closed before "
-        "the output ends (`| head`), after `--help` or `--version` too, stops the command "
-        "quietly with status 1. Text output is deterministic; JSON output carries a timing "
-        "field unless --deterministic is given. Every usage error is reported before the "
-        "first byte of stdout. Text lines are written as they are produced, so a long listing "
-        "is never held whole; JSON mode builds no text."))
+        "2 when the instance is provably unsolvable, 1 on usage errors and, with the one line "
+        "'error: out of memory', when memory runs out before the first byte. A stdout closed "
+        "before the output ends (`| head`), after `--help` or `--version` too, stops the "
+        "command quietly with status 1. Text output is deterministic; JSON output carries a "
+        "timing field unless --deterministic is given. Every usage error is reported before "
+        "the first byte of stdout. Text lines are written as they are produced, so a long "
+        "listing is never held whole; JSON mode builds no text."))
     parser.add_argument("--version", action="version", version=f"rivercross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -360,32 +361,39 @@ def _cmd_count(args):
 
 
 def _cmd_trace(args):
-    from .transfer import format_polynomial, trace_rows
+    from .transfer import format_polynomial, legal_state_bound, trace_rows
     p = _params(args)
     sp = mc_species(p)
-    # One lazy pass over the stages, read by one format only.  "f10" sorts before "f2", so
-    # JSON holds every stage's row and writes each at its turn.
-    outcome, stages, rows = trace_rows(sp, args.steps)
-    states = sp.state_graph[1]
+    # One lazy pass over the stages, read by one format only; without --steps the last one read
+    # gives the verdict.  "f10" sorts before "f2", so JSON holds every stage's row.
+    rows = trace_rows(sp, args.steps)
+    graph, states = sp.state_graph
+    bound = legal_state_bound(sp)
+    stages: dict = {}
 
     def polynomials():
         write = _terms_writer(states, "\n    ")  # a stage sits in "polynomials", in the document
-        return {name: functools.partial(write, counts, support) for name, counts, support in rows}
+        stages.update((name, functools.partial(write, counts, support))
+                      for name, counts, support in rows)
+        return stages
 
-    payload = {"command": "trace", "params": p._asdict(), "solvable": outcome.solvable,
-               "states_bound": outcome.states_bound, "polynomials": polynomials}
+    # `main` calls the thunks in insertion order, so "solvable" reads the stages already read.
+    payload = {"command": "trace", "params": p._asdict(), "polynomials": polynomials,
+               "solvable": (lambda: next(reversed(stages))[0] == "g") if args.steps is None
+               else lambda: count_shortest_paths(graph, 1, graph.n) is not None,
+               "states_bound": bound}
 
     def text():
         yield _params_line(p)
-        for name, counts, support in rows:
+        for length, (name, counts, support) in enumerate(rows):  # stage `name` is A^length's row
             poly = {states[v - 1][0]: counts[v] for v in support}
             yield f"{name} = {format_polynomial(poly)}"
-        if args.steps is None and outcome.solvable:
-            yield (f"success: constant term {outcome.count} at stage {outcome.success_index}; "
-                   f"solvable in {outcome.crossings} crossings, {outcome.count} solutions")
+        if args.steps is None and name[0] == "g":
+            yield (f"success: constant term {counts[graph.n]} at stage {name[1:]}; "
+                   f"solvable in {length} crossings, {counts[graph.n]} solutions")
         elif args.steps is None:
-            yield (f"no constant term through stage {stages}; "
-                   f"{outcome.states_bound} legal states, so the instance is UNSOLVABLE")
+            yield (f"no constant term through stage {bound + 1}; "
+                   f"{bound} legal states, so the instance is UNSOLVABLE")
 
     return EXIT_OK, payload, text()
 

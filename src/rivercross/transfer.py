@@ -9,10 +9,10 @@ the graph's adjacency powers from the initial state (the transfer-matrix
 method), read from `digraph.walk_rows` on the puzzle's `state_graph`.  The
 first forward stage g_i with a constant term proves the puzzle solvable, and
 that term is the exact number of shortest solutions.  `trace_rows(sp, steps)`,
-the trace's one entry, names the stages and picks the default length;
-`solve_and_trace` decodes its rows into polynomials.
+the trace's one entry, names the stages and stops at the first constant term;
+`transfer_trace` decodes its rows into polynomials.
 
-The verdict meets the stages in the middle (`digraph.meet_in_the_middle`):
+The count meets the stages in the middle (`digraph.meet_in_the_middle`):
 a solution is a walk from the start met by the mirror image of another, so
 g_i's constant term is the coefficient of x^(amounts) in the product of rows
 i-1 and i of f0, g1, f1, g2, ..., and is read in stage ceil(i/2).  It finds
@@ -22,10 +22,9 @@ or after n - 1 crossings, n the number of states.
 
 from __future__ import annotations
 
-from itertools import chain, tee
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .digraph import meet_in_the_middle, walk_rows
+from .digraph import Digraph, meet_in_the_middle, walk_rows
 from .puzzle import SpeciesPuzzle
 
 if TYPE_CHECKING:
@@ -80,57 +79,47 @@ def legal_state_bound(sp: SpeciesPuzzle) -> int:
     return len(vectors) if len(states) == 2 * len(vectors) else len(states)
 
 
-def _verdict(sp: SpeciesPuzzle, rows: Iterator[tuple]) -> TransferOutcome:
-    """Read the rows g1, f1, g2, ... until they meet in the middle, settle or cover n - 1."""
-    k, count = meet_in_the_middle(rows)
+def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
+    """Run the alternating iteration until its stages meet or their supports settle."""
+    k, count = meet_in_the_middle(walk_rows(sp.state_graph[0], 1))
     return TransferOutcome(solvable=bool(count), crossings=2 * k - 1 if count else None,
                            count=count or None, success_index=k if count else None,
                            states_bound=legal_state_bound(sp), iterations_run=(k + 1) // 2)
 
 
-def solve_by_transfer(sp: SpeciesPuzzle) -> TransferOutcome:
-    """Run the alternating iteration until its stages meet or their supports settle."""
-    return _verdict(sp, walk_rows(sp.state_graph[0], 1))
-
-
 def trace_rows(sp: SpeciesPuzzle, steps: int | None = None
-               ) -> tuple[TransferOutcome, int, Iterator[tuple[str, list[int], list[int]]]]:
-    """The verdict, the stage count, and the stages ("f0", counts, support), ("g1", counts,
-    support), ... of one pass, each a row of the walk on `sp.state_graph`: its polynomial has
-    a term counts[v] * x^e for each vertex v of `support`, e the start-bank populations of v.
-
-    They run through stage `steps`, else the success stage's g, else stage `states_bound + 1`.
-    `steps` may be at most twice that last default, which bounds the output."""
+               ) -> Iterator[tuple[str, list[int], list[int]]]:
+    """The stages ("f0", counts, support), ("g1", counts, support), ... of one pass, each a row
+    of the walk on `sp.state_graph`: its polynomial has a term counts[v] * x^e for each vertex
+    v of `support`, e the start-bank populations of v.  They run through stage `steps`, else
+    through the first g with a constant term (the success stage), else through stage
+    `legal_state_bound(sp) + 1`; `steps` may be at most twice that last default, which bounds
+    the output.  A refused `steps` raises at the call, before any row is read."""
     if steps is not None and steps < 0:
         raise ValueError("stages must be non-negative")
-    if steps is not None and steps > (most := 2 * (legal_state_bound(sp) + 1)):
-        raise ValueError(f"stages must be at most {most}, twice an unsolvable trace's default")
-    graph = sp.state_graph[0]
-    verdict_reads, rows = tee(walk_rows(graph, 1))
-    outcome = _verdict(sp, verdict_reads)
-    stages = steps if steps is not None else outcome.success_index or outcome.states_bound + 1
-    names = [f"{side}{i}" for i in range(1, stages + 1) for side in "gf"]
-    if outcome.solvable and steps is None:
-        names.pop()  # the success stage ends on its forward polynomial
+    last = legal_state_bound(sp) + 1
+    if steps is not None and steps > 2 * last:
+        raise ValueError(f"stages must be at most {2 * last}, twice an unsolvable trace's default")
+    return _stages(sp.state_graph[0], last if steps is None else steps, steps is None)
+
+
+def _stages(graph: Digraph, stages: int, to_success: bool
+            ) -> Iterator[tuple[str, list[int], list[int]]]:
     start = [0] * (graph.n + 1)
     start[1] = 1  # f0: the initial state, vertex 1, alone
-    return outcome, stages, chain([("f0", start, [1])], (
-        (name, counts, support) for name, (counts, support, _) in zip(names, rows)))
-
-
-def solve_and_trace(sp: SpeciesPuzzle, steps: int | None = None
-                    ) -> tuple[TransferOutcome, int, Iterator[tuple[str, Polynomial]]]:
-    """`trace_rows` with each stage decoded: ("f0", poly), ("g1", poly), ..., each polynomial
-    over the start-bank populations."""
-    outcome, stages, rows = trace_rows(sp, steps)
-    states = sp.state_graph[1]
-    return outcome, stages, ((name, {states[v - 1][0]: counts[v] for v in support})
-                             for name, counts, support in rows)
+    yield "f0", start, [1]
+    names = (f"{side}{i}" for i in range(1, stages + 1) for side in "gf")
+    for name, (counts, support, _) in zip(names, walk_rows(graph, 1)):
+        yield name, counts, support
+        if to_success and counts[graph.n]:  # the goal, reached only by a g: the success stage
+            return
 
 
 def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
-    """The first `stages` (forward, back) polynomial pairs of `solve_and_trace`, for inspection."""
-    polys = (poly for _, poly in solve_and_trace(sp, stages)[2])
+    """The first `stages` (forward, back) polynomial pairs of `trace_rows`, for inspection."""
+    rows = trace_rows(sp, stages)
+    states = sp.state_graph[1]
+    polys = ({states[v - 1][0]: counts[v] for v in support} for _, counts, support in rows)
     return TransferTrace(next(polys), tuple(zip(polys, polys)))  # f0, then (g_i, f_i) pairs
 
 

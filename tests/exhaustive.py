@@ -16,13 +16,16 @@ side.  On each puzzle it checks that
   v -> u is one, and every edge flips the boat;
 - `count_shortest_paths` from 1 to n agrees with `solve_by_transfer` and
   with `count_shortest_walks`;
+- the default trace stops by its own rule: a solvable one on g_k, whose
+  constant term is the count and where 2k - 1 is the length, an unsolvable
+  one on f(legal_state_bound + 1);
 - on a solvable puzzle, `shortest_paths` lists exactly `count` paths, in
   strictly increasing order, each of `length` crossings from 1 to n along
   edges of the graph, and the k-th is `unrank_shortest_path(counted, k)`.
 
 It prints the scope and the number of puzzles checked and of paths listed, so
 a shrunken scope shows, and at the first failure names the puzzle and exits 1.
-Stdlib only, no pytest; it takes about 45 s on a 2-core VM, so it stays out of
+Stdlib only, no pytest; it takes about 50 s on a 2-core VM, so it stays out of
 tier-1 and CI runs it on its own.
 """
 
@@ -30,12 +33,14 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import deque
 from itertools import product
 
 from reference import reference_species_graph
 from rivercross import (SpeciesPuzzle, count_shortest_paths, shortest_paths, solve_by_transfer,
                         species_graph, unrank_shortest_path)
 from rivercross.digraph import count_shortest_walks
+from rivercross.transfer import legal_state_bound, trace_rows
 
 # The amounts of each scope, and whether its bank rules may read the boat side.
 SCOPES = [((3,), True), ((2,), True), ((1, 1), True), ((2, 1), True), ((1, 1, 1), False)]
@@ -119,6 +124,13 @@ def check(sp: SpeciesPuzzle) -> int:
     walks = count_shortest_walks(graph, 1, n)
     if walks != dag:
         raise Fault(f"count_shortest_paths gives {dag}, count_shortest_walks {walks}")
+    name, last, _ = deque(trace_rows(sp), maxlen=1)[0]  # the default trace's last stage
+    if counted is None and name != f"f{legal_state_bound(sp) + 1}":
+        raise Fault(f"an unsolvable trace ends on {name}, not f{legal_state_bound(sp) + 1}")
+    if counted is not None and (name[0], 2 * int(name[1:]) - 1, last[n]) != (
+            "g", counted.length, counted.count):
+        raise Fault(f"a solvable trace ends on {name} with constant term {last[n]}, not on the "
+                    f"g of {counted.length} crossings with {counted.count}")
     if counted is None:
         return 0
     listed, previous = 0, ()

@@ -13,7 +13,7 @@ prefix, which the run must match.  Each row prints its status and wall time.
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
 The script exits 1 when a row that is not marked fails.  Stdlib only; about
-45 s on a 2-core VM.
+50 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     ("count 300 300 600 -600", 1, 5, None),  # the crossing bound, 1.6 * 10^10
     ("trace 3 3 2 0 --steps 22", 0, 5, None),  # --steps at twice the unsolvable default
     ("trace 3 3 2 0 --steps 100000", 1, 5, None),
+    # A trace reads no row past its last stage, so the rows before the meeting cost nothing.
+    ("trace 2000 1 2 0 --steps 10", 0, 5, None),
+    ("trace 3000 1 2 0 --steps 10 --format json --deterministic", 0, 5, None),
     # `solve --all` streams its listing in both formats, so the cap holds the 254,114 solutions
     # of (14,2,3,-1) in text and the 67,500 of (6,5,2,-1) in JSON, which needed 626 MB before
     # its array streamed.  The pins hold their bytes too: the corpus skips `--all` at negative
@@ -49,7 +52,7 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
      "item 24: the DAG count keeps every label, about 981 MB"),
     ("solve 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
     ("spell 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
-    ("trace 2000 1 2 0", 0, 10, "item 25: the verdict's rows are held until they print"),
+    ("trace 2000 1 2 0", 0, 10, "item 27: it streams 4,000 stages, minutes of writing"),
     ("count 10000 1 2 0", 0, 10, "item 27: the walk is unbounded, over 25 s"),
     ("sequence 0 2 0 300", 0, 5, "items 16 and 27: each member compiles and walks, about 9 s"),
     ("sequence 49998 2 0 1", 0, 5, "item 27: its one member, (49999,1,2,0), walks"),

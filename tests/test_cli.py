@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,33 @@ class TestTextStreams:
         assert len(stages) == len(rows) == 40 > verdict
         for j, n in enumerate(stages, start=1):
             assert n <= max(j, verdict), (j, n)
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that discards what it is given, so only the command's own memory is measured."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestTraceMemory:
+    """A trace holds the walk rows it prints, two at a time in text, not the rows before them."""
+
+    @pytest.mark.parametrize("argv, mib", [
+        (("trace", "600", "1", "2", "0", "--steps", "5"), 2),
+        (("trace", "600", "1", "2", "0", "--steps", "5", "--format", "json"), 2),
+        (("trace", "150", "1", "2", "0"), 1),  # ends on g150: 300 rows of 605 entries
+    ])
+    def test_peak(self, monkeypatch, argv, mib):
+        cli._parser()  # built once per process, so it is left out of every measurement
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        tracemalloc.start()
+        try:
+            status = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and peak < mib << 20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestJsonStreams:

@@ -24,8 +24,8 @@ from rivercross.transfer import (
     format_signed_sum,
     legal_state_bound,
     polynomial_terms,
-    solve_and_trace,
     solve_by_transfer,
+    trace_rows,
     transfer_trace,
 )
 from rivercross.digraph import count_shortest_walks
@@ -412,38 +412,54 @@ class TestTrace:
 
 
 class TestSolveAndTrace:
-    """The trace's one entry: the verdict, the stage count and the named stages of one pass."""
+    """The trace's one entry, `trace_rows`: the named stages of one pass, which stop at the
+    verdict without --steps.  The verdict itself is `TestSolveByTransfer`'s."""
+
+    @staticmethod
+    def decoded(sp, rows):
+        states = sp.state_graph[1]
+        return [(name, {states[v - 1][0]: counts[v] for v in support})
+                for name, counts, support in rows]
 
     def test_solvable_ends_on_its_success_stage(self):
-        outcome, stages, named = solve_and_trace(classic_species())
+        sp = classic_species()
         expected = [("f0", CLASSIC_F[0])]
         for i in range(1, 7):
             expected.append((f"g{i}", CLASSIC_G[i]))
             if i < 6:
                 expected.append((f"f{i}", CLASSIC_F[i]))
-        assert (outcome.count, outcome.success_index, stages) == (4, 6, 6)
-        assert list(named) == expected
+        named = self.decoded(sp, trace_rows(sp))
+        assert named == expected
+        assert named[-1][1][(0, 0)] == solve_by_transfer(sp).count == 4  # g6's constant term
 
     def test_unsolvable_runs_one_past_the_state_bound(self):
-        outcome, stages, named = solve_and_trace(mc_species(McParams(4, 4, 2, 0)))
-        names = [name for name, _ in named]
-        assert not outcome.solvable and stages == outcome.states_bound + 1 == 14
+        sp = mc_species(McParams(4, 4, 2, 0))
+        names = [name for name, _, _ in trace_rows(sp)]
+        assert legal_state_bound(sp) + 1 == 14 and not solve_by_transfer(sp).solvable
         assert names == ["f0"] + [f"{side}{i}" for i in range(1, 15) for side in "gf"]
 
     @pytest.mark.parametrize("steps", [0, 2, 9])
     def test_steps_give_whole_pairs(self, steps):
         reference = transfer_trace(classic_species(), steps)
-        outcome, stages, named = solve_and_trace(classic_species(), steps)
-        assert outcome == solve_by_transfer(classic_species()) and stages == steps
-        assert list(named) == [("f0", reference.initial)] + [
+        sp = classic_species()
+        assert len(reference.steps) == steps
+        assert self.decoded(sp, trace_rows(sp, steps)) == [("f0", reference.initial)] + [
             (f"{side}{i}", poly) for i, pair in enumerate(reference.steps, start=1)
             for side, poly in zip("gf", pair)]
 
     def test_negative_steps_raise_before_the_compile(self):
         sp = classic_species()
         with pytest.raises(ValueError, match="^stages must be non-negative$"):
-            solve_and_trace(sp, -1)
+            trace_rows(sp, -1)
         assert "state_graph" not in vars(sp)
+
+    def test_zero_stages_read_no_row(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a walk row was read")
+            yield
+
+        monkeypatch.setattr(transfer, "walk_rows", unread)
+        assert transfer_trace(classic_species(), 0) == ({(3, 3): 1}, ())
 
 
 class TestFormatting:
