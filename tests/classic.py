@@ -1,6 +1,9 @@
-"""Known reference data for the classic puzzle instances, shared across tests."""
+"""Known reference data for the classic puzzle instances, and the puzzle grids that several
+test modules sweep, shared across tests."""
 
-from rivercross import BankState, McParams
+import itertools
+
+from rivercross import BankState, McParams, SpeciesPuzzle, mc_species, wolf_goat_cabbage
 
 CLASSIC = McParams(3, 3, 2, 0)
 
@@ -57,3 +60,32 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def boat_side_species():
+    """Cannibals may outnumber missionaries only on the bank where the boat is."""
+    return SpeciesPuzzle(
+        names=("missionaries", "cannibals"),
+        amounts=(3, 2),
+        boat_capacity=2,
+        bank_rule=lambda v, boat: boat or not (0 < v[0] < v[1]),
+        boat_rule=lambda load: True,
+        allow_empty_boat=True,
+    )
+
+
+def oracle_puzzles():
+    """The MC grid M,C <= 6, B 2..4, d 0..2, wolf-goat-cabbage, and a boat-side bank rule."""
+    for m, c, b, d in itertools.product(range(1, 7), range(1, 7), range(2, 5), range(0, 3)):
+        if m - c >= d:
+            yield mc_species(McParams(m, c, b, d))
+    yield wolf_goat_cabbage()
+    yield boat_side_species()
+
+
+def verdict_puzzles():
+    """The MC grid M,C <= 12, B 2..5, d 0..2, then `oracle_puzzles()`."""
+    grid = (mc_species(McParams(m, c, b, d))
+            for m, c, b, d in itertools.product(range(1, 13), range(1, 13), range(2, 6), range(3))
+            if m - c >= d)
+    return itertools.chain(grid, oracle_puzzles())

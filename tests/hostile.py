@@ -12,8 +12,8 @@ prefix, which the run must match.  Each row prints its status and wall time.
 
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
-The script exits 1 when a row that is not marked fails.  Stdlib only; about
-50 s on a 2-core VM.
+The script exits 1 when a row that is not marked fails.  Stdlib only; its 23
+rows take about 55 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     ("solve 14 2 3 -1 --all", 0, 60, None, (38_080_958, 254_117, "449fd1f74ba663da")),
     ("solve 6 5 2 -1 --all --format json --deterministic", 0, 60, None,
      (66_960_279, 6_885_018, "530d62bec3194fcf")),
+    ("solve 80 80 8 0 --all", 0, 30, None, (13_132_013, 24_180, "5c25684297bd693f")),  # margin 0
+    # The last of the 254,114 solutions that the text `--all` row lists, then one past it.
+    ("spell 14 2 3 -1 --index 254113", 0, 5, None),
+    ("spell 14 2 3 -1 --index 254114", 1, 5, None),
+    ("count 3000 1 2 0 --method matrix", 0, 15, None),  # a 4,165-bit count from 3,000 walk rows
+    ("conjecture 0 2 0 200 --max-order 99", 0, 10, None),  # an order bound far above any fit
     ("count 49999 1 2 0 --method graph", 0, 10,
      "item 24: the DAG count keeps every label, about 981 MB"),
     ("solve 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),

@@ -102,6 +102,29 @@ def test_oracles_import_only_data_types():
     assert sorted(set(names) - DATA_TYPES) == []
 
 
+def imports_of_test_modules(path: Path) -> list[str]:
+    """Each `import test_…` or `from test_… import` in `path`, as `<file>:<line> <module>`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                  if module.split(".")[0].startswith("test_")]
+    return found
+
+
+def test_no_test_module_imports_another():
+    """Shared fixtures live in `classic.py` and `reference.py`, so running one test file
+    loads no other; the harness scripts are held to the same rule."""
+    scripts = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(scripts) > 1
+    assert [hit for path in scripts for hit in imports_of_test_modules(path)] == []
+
+
 # Modules that a command loads only when it runs them; a name covers its submodules.
 DEFERRED = ("dataclasses", "inspect", "fractions", "json",
             "rivercross.families", "rivercross.transfer")

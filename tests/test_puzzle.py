@@ -29,9 +29,8 @@ from rivercross.puzzle import MAX_CROSSINGS, species_loads
 from rivercross.transfer import solve_by_transfer
 from rivercross.digraph import count_shortest_walks
 
-from classic import CLASSIC, CLASSIC_SOLUTIONS
+from classic import CLASSIC, CLASSIC_SOLUTIONS, verdict_puzzles
 from reference import reference_species_graph, reference_state_ok
-from test_transfer import verdict_puzzles
 
 
 def grid_instances(m_max=6, c_max=6, b_max=5, d_max=2):
