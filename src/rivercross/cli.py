@@ -67,39 +67,40 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         started = time.perf_counter()
-        try:
-            # Each handler returns its exit status, its JSON fields and its text lines, lazily;
-            # this is the only branch on the format, and it builds only the one asked for.
-            status, payload, lines = args.handler(args)
-            if args.format == "json":
-                # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
-                payload = {key: value() if callable(value) else value
-                           for key, value in payload.items()}
-                meta = {"tool": "rivercross", "version": __version__}
-                if not args.deterministic:
-                    meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-                pieces = chain(_json_pieces({**payload, "meta": meta}), ["\n"])
-            else:
-                pieces = (line + "\n" for line in lines)
-        except ValueError as exc:  # ParamError included
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except MemoryError:  # only before the first byte; a later one stays a traceback
-            print("error: out of memory", file=sys.stderr)
-            return EXIT_USAGE
+        # Each handler returns its exit status, its JSON fields and its text lines, lazily;
+        # this is the only branch on the format, and it builds only the one asked for.
+        status, payload, lines = args.handler(args)
+        if args.format == "json":
+            # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
+            payload = {key: value() if callable(value) else value
+                       for key, value in payload.items()}
+            meta = {"tool": "rivercross", "version": __version__}
+            if not args.deterministic:
+                meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+            pieces = chain(_json_pieces({**payload, "meta": meta}), ["\n"])
+        else:
+            pieces = (line + "\n" for line in lines)
         for piece in pieces:
             sys.stdout.write(piece)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full disk raises here, not at exit
         return status
-    except BrokenPipeError:
+    except ValueError as exc:  # ParamError included; each is raised before the first byte
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # the reader has gone (`| head`), or the disk is full
         if sys.stdout is not sys.__stdout__:
             raise  # a stream the caller put in place is the caller's to handle
-        # The reader has gone (`| head`).  Closing the stream drops what it still
-        # holds, so the flush at exit cannot fail; descriptor 1 stays open.
+        # Closing the stream drops what it still holds, so the flush at exit cannot fail;
+        # descriptor 1 stays open.
         try:
             sys.stdout.close()
-        except BrokenPipeError:
+        except OSError:
             pass
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: write failed: {exc.strerror}", file=sys.stderr)
         return 1  # Python's own exit status on a broken pipe
     finally:
         sys.set_int_max_str_digits(digits)
@@ -183,12 +184,13 @@ def _parser() -> _Parser:
     parser = _Parser(prog="rivercross", description=(
         "Command-line interface. Exit codes: 0 for success (including a solvable instance), "
         "2 when the instance is provably unsolvable, 1 on usage errors and, with the one line "
-        "'error: out of memory', when memory runs out before the first byte. A stdout closed "
-        "before the output ends (`| head`), after `--help` or `--version` too, stops the "
-        "command quietly with status 1. Text output is deterministic; JSON output carries a "
-        "timing field unless --deterministic is given. Every usage error is reported before "
-        "the first byte of stdout. Text lines are written as they are produced, so a long "
-        "listing is never held whole; JSON mode builds no text."))
+        "'error: out of memory' or 'error: write failed: <reason>', when memory runs out or "
+        "stdout cannot be written, at any point. A stdout closed before the output ends "
+        "(`| head`), after `--help` or `--version` too, stops the command quietly with status "
+        "1. Text output is deterministic; JSON output carries a timing field unless "
+        "--deterministic is given. Every usage error is reported before the first byte of "
+        "stdout. Text lines are written as they are produced, so a long listing is never held "
+        "whole; JSON mode builds no text."))
     parser.add_argument("--version", action="version", version=f"rivercross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

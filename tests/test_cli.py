@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -85,6 +86,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "count_shortest_paths", exhausted)
         assert run(capsys, "solve", "3", "3", "2", "0") == (1, "", "error: out of memory\n")
+
+    def test_out_of_memory_after_the_first_byte_is_one_line(self, capsys, monkeypatch):
+        listed = cli.shortest_paths
+
+        def one_then_exhausted(counted):
+            yield next(listed(counted))
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "shortest_paths", one_then_exhausted)
+        status, out, err = run(capsys, "solve", "3", "3", "2", "0", "--all")
+        assert (status, err) == (1, "error: out of memory\n")
+        assert out.splitlines()[-1].startswith("solution 1: [3,3,1] ")
 
     def test_spell_unsolvable_is_two(self, capsys):
         status, out, _ = run(capsys, "spell", "4", "4", "2", "0")
@@ -586,6 +599,56 @@ class TestMethodAgreement:
         _, out2, _ = run(capsys, "solve", "5", "5", "3", "0", "--all")
         assert out1 == out2
 
+    LISTED = 500  # `solve --all` is checked where it lists at most this many solutions
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(2, 5), st.integers(-2, 2)))
+    def test_commands_agree_on_generated_instances(self, instance):
+        """count by each method and format, solve, solve --all and spell give one answer."""
+        argv = list(map(str, instance))
+        asked = [["solve"], *(["count", "--method", method]
+                              for method in ("graph", "matrix", "transfer"))]
+        answers = {_answer(*_ask(command, *argv, *flags, "--format", fmt))
+                   for command, *flags in asked for fmt in ("text", "json")}
+        assert len(answers) == 1, (instance, answers)
+        [(status, crossings, count)] = answers
+        if status != 0:
+            assert _ask("spell", *argv)[0] == status, instance
+            return
+        if count > self.LISTED:
+            return
+        text = _ask("solve", *argv, "--all")[1].splitlines()[3:]
+        assert [line.split(": ")[0] for line in text] == [
+            f"solution {k}" for k in range(1, count + 1)], instance
+        doc = json.loads(_ask("solve", *argv, "--all", "--format", "json")[1])
+        assert [f"solution {k}: " + " ".join("[%d,%d,%d]" % tuple(state) for state in path)
+                for k, path in enumerate(doc["solutions"], start=1)] == text, instance
+        for index in (0, count - 1):
+            doc = json.loads(_ask("spell", *argv, "--index", str(index), "--format", "json")[1])
+            # Each crossing's line names the start bank after it; the boat alternates sides.
+            banks = [instance[:2], *re.findall(r"start bank: (\d+) \w+, (\d+) \w+;",
+                                               "\n".join(doc["transcript"]))]
+            walked = " ".join("[%s,%s,%d]" % (*bank, (k + 1) % 2) for k, bank in enumerate(banks))
+            assert text[index].split(": ")[1] == walked, (instance, index)
+
+
+def _ask(*argv):
+    """The status and stdout of one in-process run, its stderr dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(list(argv))
+    return status, out.getvalue()
+
+
+def _answer(status, out):
+    """(status, crossings, count) from a `count` or `solve` run in either format."""
+    if out.startswith("{"):
+        doc = json.loads(out)
+        return status, doc["crossings"], None if doc["count"] is None else int(doc["count"])
+    fields = dict(re.findall(r"^(crossings|count|solutions): (\d+)$", out, re.MULTILINE))
+    crossings, count = fields.get("crossings"), fields.get("count", fields.get("solutions"))
+    return status, crossings and int(crossings), count and int(count)
+
 
 def _cap_address_space():
     import resource
@@ -681,13 +744,59 @@ class TestClosedStdout:
             os.close(writer)
         assert (done.returncode, done.stderr) == (1, b"")
 
-    def test_a_stream_the_caller_set_is_left_to_the_caller(self, monkeypatch):
-        class Closed(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-        stream = Closed()
+    @pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC], ids=["EPIPE", "ENOSPC"])
+    def test_a_stream_the_caller_set_is_left_to_the_caller(self, monkeypatch, code):
+        stream = _Failing(0, code)
         monkeypatch.setattr(sys, "stdout", stream)
-        with pytest.raises(BrokenPipeError):
+        with pytest.raises(OSError) as raised:
             main(["solve", "3", "3", "2", "0"])
+        assert raised.value.errno == code
         assert not stream.closed
+
+
+class _Failing(io.StringIO):
+    """A stdout whose writes fail with `OSError(code)` once it has taken `room` characters."""
+
+    def __init__(self, room, code=errno.ENOSPC):
+        super().__init__()
+        self.room, self.code = room, code
+
+    def write(self, text):
+        if len(text) > self.room:
+            raise OSError(self.code, os.strerror(self.code))
+        self.room -= len(text)
+        return super().write(text)
+
+
+class TestFailedWrite:
+    """A stdout that fails to take a write, at any point, ends the command with one stderr
+    line and status 1; the process's own stream is closed, so the flush at exit cannot fail."""
+
+    FULL = "error: write failed: No space left on device\n"
+
+    @pytest.mark.parametrize("half", [False, True], ids=["first-byte", "half-way"])
+    @pytest.mark.parametrize("argv", [
+        *([command, "3", "3", "2", "0", *flags, "--format", fmt]
+          for command, flags in (("count", []), ("solve", ["--all"]), ("trace", []))
+          for fmt in ("text", "json")),
+        ["--help"],
+    ])
+    def test_own_stream_on_a_full_disk(self, capsys, monkeypatch, argv, half):
+        with contextlib.suppress(SystemExit):  # --help exits once it has printed
+            main(argv)
+        stream = _Failing(len(capsys.readouterr().out) // 2 if half else 0)
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(sys, "__stdout__", stream)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == self.FULL
+        assert stream.closed
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [["count", "3", "3", "2", "0"], ["--help"]])
+    def test_dev_full(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "rivercross.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (done.returncode, done.stderr.decode()) == (1, self.FULL)
