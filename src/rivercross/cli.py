@@ -2,10 +2,11 @@
 
 The exit codes and the output contract are the parser's description, which `--help` shows.
 
-JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document,
-but writes a lazy field in pieces: `solve --all` one solution at a time, so its
-memory is bounded by the state graph, and `trace` one stage at a time, each
-straight from its walk row with text made once per state, not through json's encoder.
+JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document.  At most
+one field is an iterator: a marker stands in for it in that dump, and its own writer,
+`_streamed`, frames it there one element at a time.  So `solve --all` writes one solution
+at a time, and its memory is bounded by the state graph, and `trace` one stage at a time,
+each straight from its walk row with text made once per state, not through json's encoder.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_USAGE = 1
 EXIT_UNSOLVABLE = 2
 
 _INT64_MAX = 2**63 - 1
+_MARKER = "\0"  # stands in for the streamed JSON field in the dump; no other field holds it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,13 +73,20 @@ def main(argv: list[str] | None = None) -> int:
         # this is the only branch on the format, and it builds only the one asked for.
         status, payload, lines = args.handler(args)
         if args.format == "json":
+            import json
             # A field only JSON reads is a thunk, built here so that elapsed_ms covers it.
-            payload = {key: value() if callable(value) else value
-                       for key, value in payload.items()}
-            meta = {"tool": "rivercross", "version": __version__}
+            doc = {key: value() if callable(value) else value for key, value in payload.items()}
+            doc["meta"] = {"tool": "rivercross", "version": __version__}
             if not args.deterministic:
-                meta["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-            pieces = chain(_json_pieces({**payload, "meta": meta}), ["\n"])
+                doc["meta"]["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+            streamed = [key for key, value in doc.items() if hasattr(value, "__next__")]
+            if not streamed:
+                pieces = (json.dumps(doc, sort_keys=True, indent=2), "\n")
+            else:  # the one iterator's pieces go where its marker is in the dump
+                [key] = streamed
+                items, doc[key] = doc[key], _MARKER
+                head, tail = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(_MARKER))
+                pieces = chain([head], items, [tail, "\n"])
         else:
             pieces = (line + "\n" for line in lines)
         for piece in pieces:
@@ -106,46 +115,22 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(digits)
 
 
-def _lazy(value) -> bool:
-    """Whether JSON mode streams a value: a thunk, an iterator, or a dict holding one."""
-    return (callable(value) or hasattr(value, "__next__")
-            or isinstance(value, dict) and any(map(_lazy, value.values())))
-
-
-def _json_pieces(value, pad: str = "\n"):
-    """The text of `json.dumps(value, sort_keys=True, indent=2)`, nested where lines start with `pad`.
-
-    A value that is not lazy is one dumps call, or an `_Encoded` text written as
-    it is.  An iterator is written as an array one element at a time, and a lazy
-    dict one entry at a time in key order; a thunk is called at its turn.  json
-    escapes the newlines inside strings, so re-indenting a piece's lines changes
-    nothing else.
-    """
+def _streamed(items, ends: str):
+    """The text of a top-level array (`ends` "[]") or object ("{}") in the document, one
+    element at a time.  An item is a value, dumped here at the field's indent, or the JSON
+    text of an element already so indented (an object's items are '"key": value' text)."""
     import json
-    if callable(value):
-        value = value()
-    if isinstance(value, dict) and _lazy(value):
-        items, ends = ((json.dumps(key) + ": ", value[key]) for key in sorted(value)), "{}"
-    elif hasattr(value, "__next__"):
-        items, ends = (("", item) for item in value), "[]"
-    else:
-        yield (value if isinstance(value, _Encoded)
-               else json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
-        return
-    inner, sep = pad + "  ", ends[0]
-    for key, item in items:
-        yield sep + inner + key
-        yield from _json_pieces(item, inner)
+    sep = ends[0]
+    for item in items:
+        if not isinstance(item, str):
+            item = json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
+        yield sep + "\n    " + item
         sep = ","
-    yield ends if sep == ends[0] else pad + ends[1]
-
-
-class _Encoded(str):
-    """JSON text that `_json_pieces` writes as it is: its writer indented it for its place."""
+    yield ends if sep == ends[0] else "\n  " + ends[1]
 
 
 def _terms_writer(states: tuple[SpeciesState, ...], pad: str
-                  ) -> Callable[[list[int], list[int]], _Encoded]:
+                  ) -> Callable[[list[int], list[int]], str]:
     """A writer of a trace stage, given as its walk row (counts, support) on the state graph
     whose vertices `states` names: the text of `json.dumps(polynomial_terms(poly), indent=2)`
     for the stage's polynomial, each newline followed by `pad`'s indent.
@@ -163,14 +148,14 @@ def _terms_writer(states: tuple[SpeciesState, ...], pad: str
                  if vecs[0] else "[]")
     rest = [None, *map(("," + pad + "    " + exponents + pad + "  ]," + head).__mod__, vecs)]
 
-    def write(counts: list[int], support: list[int]) -> _Encoded:
+    def write(counts: list[int], support: list[int]) -> str:
         if not support:
-            return _Encoded("[]")
+            return "[]"
         support = sorted(support, key=rank.__getitem__)
         parts = [""] * (2 * len(support))
         parts[::2] = map(str, map(counts.__getitem__, support))
         parts[1::2] = map(rest.__getitem__, support)
-        return _Encoded("[" + head + "".join(parts)[:-len("," + head)] + pad + "]")
+        return "[" + head + "".join(parts)[:-len("," + head)] + pad + "]"
 
     return write
 
@@ -295,7 +280,8 @@ def _cmd_solve(args):
         paths = islice(shortest_paths(counted), None if args.all else 1)
         solutions = (_solution(states, path) for path in paths)
         payload.update(crossings=counted.length, count=_json_count(counted.count),
-                       solutions=solutions if args.all else lambda: list(solutions))
+                       solutions=_streamed(solutions, "[]") if args.all
+                       else lambda: list(solutions))
 
     def text():
         yield _params_line(p)
@@ -375,9 +361,8 @@ def _cmd_trace(args):
 
     def polynomials():
         write = _terms_writer(states, "\n    ")  # a stage sits in "polynomials", in the document
-        stages.update((name, functools.partial(write, counts, support))
-                      for name, counts, support in rows)
-        return stages
+        stages.update((name, (counts, support)) for name, counts, support in rows)
+        return _streamed((f'"{name}": ' + write(*stages[name]) for name in sorted(stages)), "{}")
 
     # `main` calls the thunks in insertion order, so "solvable" reads the stages already read.
     payload = {"command": "trace", "params": p._asdict(), "polynomials": polynomials,

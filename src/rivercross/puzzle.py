@@ -270,12 +270,18 @@ def mc_graph(p: McParams) -> tuple[Digraph, tuple[BankState, ...]]:
 
 
 def solve_species(sp: SpeciesPuzzle) -> tuple[int, tuple[tuple[SpeciesState, ...], ...]] | None:
-    """All shortest solutions of a species puzzle as state sequences, or None."""
+    """All shortest solutions of a species puzzle as state sequences, or None.
+
+    The tuple holds every solution, so its size grows with their count; stream a large
+    listing with `shortest_paths` on `sp.state_graph` instead."""
     return _shortest_solutions(*sp.state_graph)
 
 
 def solve_mc(p: McParams) -> tuple[int, tuple[StatePath, ...]] | None:
-    """All shortest MC solutions, sorted lexicographically by state sequence, or None."""
+    """All shortest MC solutions, sorted lexicographically by state sequence, or None.
+
+    The tuple holds every solution: `solve_mc(McParams(30, 1, 2, 0))` runs out of memory on
+    its 13-digit count.  Stream a large listing with `mc_graph` and `shortest_paths`."""
     return _shortest_solutions(*mc_graph(p))
 
 

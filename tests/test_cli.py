@@ -378,7 +378,7 @@ class TestTraceMemory:
 
 
 class TestJsonStreams:
-    """JSON streams a lazy field element by element, in the bytes of one dumps of the document."""
+    """JSON streams one field element by element, in the bytes of one dumps of the document."""
 
     @pytest.mark.parametrize("argv, status", [
         (("trace", "4", "4", "2", "0"), 0),  # runs to f14, so "f10" sorts before "f2"
@@ -388,6 +388,7 @@ class TestJsonStreams:
         (("solve", "3", "3", "2", "-1", "--all"), 0),
         (("trace", "20", "20", "4", "0"), 0),
         (("trace", "9", "9", "3", "0", "--steps", "30"), 0),
+        (("solve", "4", "4", "2", "0", "--all"), 2),  # unsolvable: an empty listing
     ])
     @pytest.mark.parametrize("timed", [False, True])
     def test_bytes_are_one_dumps_of_the_document(self, capsys, argv, status, timed):
@@ -395,14 +396,6 @@ class TestJsonStreams:
         doc = json.loads(out)
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert got == status and ("elapsed_ms" in doc["meta"]) == timed
-
-    def test_nested_lazy_fields(self):
-        plain = {"b": [], "a": {"z": [1, {"y": "two\nlines"}]}, "c": [[1, 2], {"k": []}, "s"],
-                 "d": {}}
-        lazy = {"b": iter([]), "a": {"z": lambda: [1, {"y": "two\nlines"}]},
-                "c": iter([iter([1, 2]), {"k": iter([])}, "s"]), "d": {}}
-        assert cli._lazy(lazy) and not cli._lazy(plain)
-        assert "".join(cli._json_pieces(lazy)) == json.dumps(plain, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("poly", [
         {(1, 2): 2**64, (2, 1): 2**64 - 1, (0, 0): 1},
@@ -422,9 +415,6 @@ class TestJsonStreams:
         try:
             terms = transfer.polynomial_terms(poly)
             assert write(counts, support) == json.dumps(terms, indent=2).replace("\n", "\n    ")
-            lazy = {"params": [1, 2], "polynomials": lambda: {"f0": lambda: write(counts, support)}}
-            assert "".join(cli._json_pieces(lazy)) == json.dumps(
-                {"params": [1, 2], "polynomials": {"f0": terms}}, sort_keys=True, indent=2)
         finally:
             sys.set_int_max_str_digits(digits)
 
@@ -604,7 +594,7 @@ class TestMethodAgreement:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(2, 5), st.integers(-2, 2)))
     def test_commands_agree_on_generated_instances(self, instance):
-        """count by each method and format, solve, solve --all and spell give one answer."""
+        """count by each method and format, solve, solve --all, spell and trace give one answer."""
         argv = list(map(str, instance))
         asked = [["solve"], *(["count", "--method", method]
                               for method in ("graph", "matrix", "transfer"))]
@@ -612,6 +602,22 @@ class TestMethodAgreement:
                    for command, *flags in asked for fmt in ("text", "json")}
         assert len(answers) == 1, (instance, answers)
         [(status, crossings, count)] = answers
+        (traced, text), (traced_json, out) = (_ask("trace", *argv, "--format", fmt)
+                                              for fmt in ("text", "json"))
+        assert traced == traced_json == int(status == 1), instance
+        if traced == 0:  # a trace without --steps ends on count's verdict in both formats
+            doc = json.loads(out)
+            bound = doc["states_bound"]
+            assert text.splitlines()[-1] == (
+                f"success: constant term {count} at stage {(crossings + 1) // 2}; "
+                f"solvable in {crossings} crossings, {count} solutions" if status == 0 else
+                f"no constant term through stage {bound + 1}; "
+                f"{bound} legal states, so the instance is UNSOLVABLE"), instance
+            last = max((name for name in doc["polynomials"] if name[0] == "g"),
+                       key=lambda name: int(name[1:]))
+            constant = [c for c, exponents in doc["polynomials"][last] if not any(exponents)]
+            assert (doc["solvable"], constant) == (
+                (True, [count]) if status == 0 else (False, [])), instance
         if status != 0:
             assert _ask("spell", *argv)[0] == status, instance
             return
@@ -633,10 +639,14 @@ class TestMethodAgreement:
 
 
 def _ask(*argv):
-    """The status and stdout of one in-process run, its stderr dropped."""
+    """The status and stdout of one in-process run, its stderr dropped; a JSON stdout must be
+    the bytes of one dumps of its document, however `main` wrote it."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         status = main(list(argv))
+    if out.getvalue().startswith("{"):
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), sort_keys=True,
+                                            indent=2) + "\n", argv
     return status, out.getvalue()
 
 

@@ -138,7 +138,10 @@ COLD_COMMANDS = [
     ("--help", ()),
     ("count 3 3 2 0", ("rivercross.transfer",)),
     ("solve 3 3 2 0 --format json", ("json",)),
+    ("solve 3 3 2 0 --all", ()),  # its JSON writer is built but never started
+    ("solve 3 3 2 0 --all --format json", ("json",)),
     ("trace 3 3 2 0", ("rivercross.transfer",)),
+    ("trace 3 3 2 0 --format json", ("json", "rivercross.transfer")),
     ("sequence 5 3 1 8", ("rivercross.families", "fractions", "rivercross.transfer")),
     ("conjecture 5 3 1 12", ("rivercross.families", "fractions", "rivercross.transfer")),
 ]
