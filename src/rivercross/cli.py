@@ -3,16 +3,17 @@
 The exit codes and the output contract are the parser's description, which `--help` shows.
 
 JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document.  At most
-one field is an iterator: a marker stands in for it in that dump, and its own writer,
-`_streamed`, frames it there one element at a time.  So `solve --all` writes one solution
-at a time, and its memory is bounded by the state graph, and `trace` one stage at a time,
-each straight from its walk row with text made once per state, not through json's encoder.
+one field is an iterator: a marker stands in for it in that dump, and `_streamed` frames it
+there one element at a time.  So `solve` writes one solution at a time, in memory bounded by
+the state graph, and `trace` one stage at a time; each element is joined from text made once
+per state, not sent through json's encoder, and text `solve` joins its lines the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from itertools import chain, islice
@@ -24,7 +25,6 @@ from .puzzle import (
     BankState,
     McParams,
     SpeciesState,
-    StatePath,
     mc_species,
     spell_out,
     validate_params,
@@ -43,6 +43,10 @@ EXIT_UNSOLVABLE = 2
 
 _INT64_MAX = 2**63 - 1
 _MARKER = "\0"  # stands in for the streamed JSON field in the dump; no other field holds it
+_PAD = "\n    "  # starts each line of a streamed field's element: its items sit at indent 4
+# An error line echoes numbers of any length; a run of over 200 digits keeps its first 20.
+_clipped = functools.partial(re.sub, r"\d{201,}",
+                             lambda run: f"{run[0][:20]}... ({len(run[0])} digits)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {_clipped(message)}\n")
 
     def exit(self, status=0, message=None):
         sys.stdout.flush()  # after --help or --version, a closed pipe raises here, not at exit
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe or a full disk raises here, not at exit
         return status
     except ValueError as exc:  # ParamError included; each is raised before the first byte
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clipped(str(exc))}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
@@ -117,23 +121,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def _streamed(items, ends: str):
     """The text of a top-level array (`ends` "[]") or object ("{}") in the document, one
-    element at a time.  An item is a value, dumped here at the field's indent, or the JSON
-    text of an element already so indented (an object's items are '"key": value' text)."""
-    import json
+    element at a time.  An item is the JSON text of an element, indented as the field's
+    elements are (an object's items are '"key": value' text)."""
     sep = ends[0]
     for item in items:
-        if not isinstance(item, str):
-            item = json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
-        yield sep + "\n    " + item
+        yield sep + _PAD + item
         sep = ","
     yield ends if sep == ends[0] else "\n  " + ends[1]
 
 
-def _terms_writer(states: tuple[SpeciesState, ...], pad: str
-                  ) -> Callable[[list[int], list[int]], str]:
+def _terms_writer(states: tuple[SpeciesState, ...]) -> Callable[[list[int], list[int]], str]:
     """A writer of a trace stage, given as its walk row (counts, support) on the state graph
     whose vertices `states` names: the text of `json.dumps(polynomial_terms(poly), indent=2)`
-    for the stage's polynomial, each newline followed by `pad`'s indent.
+    for the stage's polynomial, each newline followed by the indent of a streamed element.
 
     A term is `head`, its coefficient, then `rest[v]`: vertex v's exponents and the next
     term's `head`, made once per vertex.  A row holds one boat side, so no two of its vertices
@@ -143,10 +143,10 @@ def _terms_writer(states: tuple[SpeciesState, ...], pad: str
     vecs = [vec for vec, _ in states]
     place = {vec: i for i, (_, vec) in enumerate(polynomial_terms(dict.fromkeys(vecs)))}
     rank = [0, *map(place.__getitem__, vecs)]
-    head = pad + "  [" + pad + "    "
-    exponents = ("[" + ",".join([pad + "      %d"] * len(vecs[0])) + pad + "    ]"
+    head = _PAD + "  [" + _PAD + "    "
+    exponents = ("[" + ",".join([_PAD + "      %d"] * len(vecs[0])) + _PAD + "    ]"
                  if vecs[0] else "[]")
-    rest = [None, *map(("," + pad + "    " + exponents + pad + "  ]," + head).__mod__, vecs)]
+    rest = [None, *map(("," + _PAD + "    " + exponents + _PAD + "  ]," + head).__mod__, vecs)]
 
     def write(counts: list[int], support: list[int]) -> str:
         if not support:
@@ -155,7 +155,7 @@ def _terms_writer(states: tuple[SpeciesState, ...], pad: str
         parts = [""] * (2 * len(support))
         parts[::2] = map(str, map(counts.__getitem__, support))
         parts[1::2] = map(rest.__getitem__, support)
-        return "[" + head + "".join(parts)[:-len("," + head)] + pad + "]"
+        return "[" + head + "".join(parts)[:-len("," + head)] + _PAD + "]"
 
     return write
 
@@ -264,11 +264,6 @@ def _counted(p: McParams) -> tuple[PathCount | None, tuple[SpeciesState, ...]]:
     return count_shortest_paths(graph, 1, graph.n), states
 
 
-def _solution(states: tuple[SpeciesState, ...], path: tuple[int, ...]) -> StatePath:
-    """The bank states a vertex path of the state graph visits."""
-    return tuple(BankState(*vec, boat) for vec, boat in (states[v - 1] for v in path))
-
-
 def _cmd_solve(args):
     p = _params(args)
     counted, states = _counted(p)
@@ -276,12 +271,17 @@ def _cmd_solve(args):
                      "crossings": None, "count": None, "solutions": []}
     if counted is not None:
         # The listing is lazy and read by one format only; without --all, only solution 0 is built.
-        # JSON streams the --all array one solution at a time, as text streams its lines.
+        # Each format makes a state's text once and joins it for each solution, as it is listed.
         paths = islice(shortest_paths(counted), None if args.all else 1)
-        solutions = (_solution(states, path) for path in paths)
+
+        def listing():
+            block = [None, *("[\n        %d,\n        %d,\n        %d\n      ]" % (*vec, boat)
+                             for vec, boat in states)]
+            for path in paths:
+                yield "[\n      " + ",\n      ".join(map(block.__getitem__, path)) + "\n    ]"
+
         payload.update(crossings=counted.length, count=_json_count(counted.count),
-                       solutions=_streamed(solutions, "[]") if args.all
-                       else lambda: list(solutions))
+                       solutions=_streamed(listing(), "[]"))
 
     def text():
         yield _params_line(p)
@@ -290,8 +290,9 @@ def _cmd_solve(args):
             return
         yield f"crossings: {counted.length}"
         yield f"solutions: {counted.count}"
+        cell = [None, *("[%d,%d,%d]" % (*vec, boat) for vec, boat in states)]
         for k, path in enumerate(paths, start=1):
-            yield f"solution {k}: " + " ".join("[%d,%d,%d]" % s for s in _solution(states, path))
+            yield f"solution {k}: " + " ".join(map(cell.__getitem__, path))
 
     return EXIT_UNSOLVABLE if counted is None else EXIT_OK, payload, text()
 
@@ -304,7 +305,8 @@ def _cmd_spell(args):
     if counted is not None:
         if not 0 <= args.index < counted.count:
             raise ValueError(f"index {args.index} out of range: {counted.count} solutions exist")
-        path = _solution(states, unrank_shortest_path(counted, args.index))
+        path = tuple(BankState(*vec, boat) for vec, boat in
+                     (states[v - 1] for v in unrank_shortest_path(counted, args.index)))
         # The transcript is text in both formats; JSON carries its lines.
         payload.update(crossings=counted.length, transcript=spell_out(p, path).split("\n"))
 
@@ -360,7 +362,7 @@ def _cmd_trace(args):
     stages: dict = {}
 
     def polynomials():
-        write = _terms_writer(states, "\n    ")  # a stage sits in "polynomials", in the document
+        write = _terms_writer(states)
         stages.update((name, (counts, support)) for name, counts, support in rows)
         return _streamed((f'"{name}": ' + write(*stages[name]) for name in sorted(stages)), "{}")
 

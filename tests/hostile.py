@@ -14,7 +14,7 @@ run must match.  Each row prints its status and wall time.
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
 The script exits 1 when a row that is not marked fails.  Stdlib only; its 24
-rows take about 56 s on a 2-core VM.
+rows take about 46 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     # of (14,2,3,-1) in text and the 67,500 of (6,5,2,-1) in JSON, which needed 626 MB before
     # its array streamed.  The pins hold their bytes too: the corpus skips `--all` at negative
     # margins.
-    ("solve 14 2 3 -1 --all", 0, 60, None, (38_080_958, 254_117, "449fd1f74ba663da")),
-    ("solve 6 5 2 -1 --all --format json --deterministic", 0, 60, None,
+    ("solve 14 2 3 -1 --all", 0, 10, None, (38_080_958, 254_117, "449fd1f74ba663da")),
+    ("solve 6 5 2 -1 --all --format json --deterministic", 0, 10, None,
      (66_960_279, 6_885_018, "530d62bec3194fcf")),
-    ("solve 80 80 8 0 --all", 0, 30, None, (13_132_013, 24_180, "5c25684297bd693f")),  # margin 0
+    ("solve 80 80 8 0 --all", 0, 5, None, (13_132_013, 24_180, "5c25684297bd693f")),  # margin 0
     # The last of the 254,114 solutions that the text `--all` row lists, then one past it.
     ("spell 14 2 3 -1 --index 254113", 0, 5, None),
     ("spell 14 2 3 -1 --index 254114", 1, 5, None),

@@ -99,6 +99,22 @@ class TestExitCodes:
         assert (status, err) == (1, "error: out of memory\n")
         assert out.splitlines()[-1].startswith("solution 1: [3,3,1] ")
 
+    @pytest.mark.parametrize("argv", [
+        ("sequence", "0", "2", "0", "9" * 5000),
+        ("count", "3", "9" * 5000, "2", "0"),
+        ("count", "3", "9" * 5000 + "x", "2", "0"),  # argparse's own `invalid int value`
+    ])
+    def test_an_error_line_cuts_a_long_number(self, capsys, argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsys.readouterr()
+        assert (status, out) == (1, "")
+        line = err.splitlines()[-1]
+        assert "error: " in line and re.search(r"\.\.\. \(\d+ digits\)", line)
+        assert len(line.encode()) < 200
+
     def test_spell_unsolvable_is_two(self, capsys):
         status, out, _ = run(capsys, "spell", "4", "4", "2", "0")
         assert status == 2
@@ -389,6 +405,7 @@ class TestJsonStreams:
         (("trace", "20", "20", "4", "0"), 0),
         (("trace", "9", "9", "3", "0", "--steps", "30"), 0),
         (("solve", "4", "4", "2", "0", "--all"), 2),  # unsolvable: an empty listing
+        (("solve", "300", "1", "2", "0"), 0),  # one 599-crossing solution, a count above 2**63
     ])
     @pytest.mark.parametrize("timed", [False, True])
     def test_bytes_are_one_dumps_of_the_document(self, capsys, argv, status, timed):
@@ -409,7 +426,7 @@ class TestJsonStreams:
         """A stage written from its walk row is the text json's encoder writes, at its indent."""
         states = tuple((mono, 0) for mono in poly) or (((0, 0), 0),)  # vertex v: v-th monomial
         counts, support = [0, *poly.values()], list(range(len(poly), 0, -1))
-        write = cli._terms_writer(states, "\n    ")
+        write = cli._terms_writer(states)
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -436,6 +453,21 @@ class TestJsonStreams:
             assert n <= done + 1, (done, n)
             done += text.count("\n    ]")
         assert done == len(pulled) == 25
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_solve_without_all_lists_one_solution(self, capsys, monkeypatch, fmt):
+        real, pulled = cli.shortest_paths, []
+
+        def counted(dag):
+            for path in real(dag):
+                pulled.append(path)
+                yield path
+
+        monkeypatch.setattr(cli, "shortest_paths", counted)
+        status, out, _ = run(capsys, "solve", "5", "5", "3", "0", "--format", fmt)
+        assert status == 0 and len(pulled) == 1
+        listed = json.loads(out)["solutions"] if fmt == "json" else out.split("\nsolution ")[1:]
+        assert len(listed) == 1
 
 
 class TestJson:
