@@ -20,7 +20,8 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .digraph import PathCount, count_shortest_paths, shortest_paths, unrank_shortest_path
+from .digraph import (PathCount, count_shortest_paths, shortest_distance, shortest_paths,
+                      unrank_shortest_path)
 from .puzzle import (
     BankState,
     McParams,
@@ -354,22 +355,19 @@ def _cmd_trace(args):
     from .transfer import format_polynomial, legal_state_bound, trace_rows
     p = _params(args)
     sp = mc_species(p)
-    # One lazy pass over the stages, read by one format only; without --steps the last one read
-    # gives the verdict.  "f10" sorts before "f2", so JSON holds every stage's row.
+    # One lazy pass over the stages, read by one format only; text's verdict reads the last one,
+    # JSON's "solvable" a search from 1 to n.  "f10" sorts before "f2", so JSON holds every row.
     rows = trace_rows(sp, args.steps)
     graph, states = sp.state_graph
     bound = legal_state_bound(sp)
-    stages: dict = {}
 
     def polynomials():
         write = _terms_writer(states)
-        stages.update((name, (counts, support)) for name, counts, support in rows)
+        stages = {name: (counts, support) for name, counts, support in rows}
         return _streamed((f'"{name}": ' + write(*stages[name]) for name in sorted(stages)), "{}")
 
-    # `main` calls the thunks in insertion order, so "solvable" reads the stages already read.
     payload = {"command": "trace", "params": p._asdict(), "polynomials": polynomials,
-               "solvable": (lambda: next(reversed(stages))[0] == "g") if args.steps is None
-               else lambda: count_shortest_paths(graph, 1, graph.n) is not None,
+               "solvable": lambda: shortest_distance(graph, 1, graph.n) is not None,
                "states_bound": bound}
 
     def text():

@@ -71,21 +71,11 @@ class PathCount(NamedTuple):
         return self.ways[self.source]
 
 
-def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
-    """Minimal edge count of a walk from source to target, or None if unreachable."""
-    counted = count_shortest_paths(g, source, target)
-    return None if counted is None else counted.length
+def _search(g: Digraph, source: int, target: int) -> tuple[list[int], list[int | None]]:
+    """Breadth-first search from the source: the vertices in the order reached, and `dist`.
 
-
-def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
-    """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
-
-    A breadth-first search from the source stops at the first vertex of the
-    target's layer, when every nearer vertex is expanded and that whole layer
-    is labelled.  Its order is by distance, so one walk back along it takes
-    each vertex's steps, the out-neighbors one layer further that reach the
-    target, and sums their `ways` (Brandes, 2001): one big-integer addition
-    per DAG edge.  Only the rows of vertices nearer than the target are read.
+    It stops once the target's whole layer is reached, so an unreachable target leaves in
+    `order` every vertex the source reaches.  `dist[v]` is None for a vertex not reached.
     """
     _check_vertex(g, source)
     _check_vertex(g, target)
@@ -99,6 +89,22 @@ def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | No
             if dist[w] is None:
                 dist[w] = dist[u] + 1  # type: ignore[operator]
                 order.append(w)
+    return order, dist
+
+
+def shortest_distance(g: Digraph, source: int, target: int) -> int | None:
+    """Minimal edge count of a walk from source to target, or None if unreachable."""
+    return _search(g, source, target)[1][target]
+
+
+def count_shortest_paths(g: Digraph, source: int, target: int) -> PathCount | None:
+    """Build the shortest source-to-target DAG and count its paths, or None if unreachable.
+
+    One walk back along the search's order, which is by distance, takes each vertex's steps,
+    the out-neighbors one layer further that reach the target, and sums their `ways` (Brandes,
+    2001): one big-integer addition per DAG edge, reading only rows nearer than the target.
+    """
+    order, dist = _search(g, source, target)
     length = dist[target]
     if length is None:
         return None

@@ -19,14 +19,18 @@ side.  On each puzzle it checks that
 - the default trace stops by its own rule: a solvable one on g_k, whose
   constant term is the count and where 2k - 1 is the length, an unsolvable
   one on f(legal_state_bound + 1);
+- on an unsolvable puzzle, the reached set is found three ways and they are
+  equal: the vertices of the search `digraph._search` from 1 to n, the union of
+  the last two supports of `walk_rows(graph, 1)` at its first settled row (the
+  source alone is row 0), and the vertices of `reference_reachable`'s states;
 - on a solvable puzzle, `shortest_paths` lists exactly `count` paths, in
   strictly increasing order, each of `length` crossings from 1 to n along
   edges of the graph, and the k-th is `unrank_shortest_path(counted, k)`.
 
-It prints the scope and the number of puzzles checked and of paths listed, so
-a shrunken scope shows, and at the first failure names the puzzle and exits 1.
-Stdlib only, no pytest; it takes about 50 s on a 2-core VM, so it stays out of
-tier-1 and CI runs it on its own.
+It prints the scope and the number of puzzles checked, of reached sets
+compared and of paths listed, so a shrunken scope shows, and at the first
+failure names the puzzle and exits 1.  Stdlib only, no pytest; it takes about
+45 s on a 2-core VM, so it stays out of tier-1 and CI runs it on its own.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ import time
 from collections import deque
 from itertools import product
 
-from reference import reference_species_graph
-from rivercross import (SpeciesPuzzle, count_shortest_paths, shortest_paths, solve_by_transfer,
-                        species_graph, unrank_shortest_path)
-from rivercross.digraph import count_shortest_walks
+from reference import reference_reachable, reference_species_graph
+from rivercross import (SpeciesPuzzle, count_shortest_paths, digraph, shortest_paths,
+                        solve_by_transfer, species_graph, unrank_shortest_path)
+from rivercross.digraph import count_shortest_walks, walk_rows
 from rivercross.transfer import legal_state_bound, trace_rows
 
 # The amounts of each scope, and whether its bank rules may read the boat side.
@@ -94,15 +98,15 @@ def _compiled(compile_, sp):
         return f"ValueError: {exc}"
 
 
-def check(sp: SpeciesPuzzle) -> int:
-    """Check the compile of `sp`, its count and its listing, and return the number of shortest
-    solutions listed: 0 when the puzzle is ill-posed or unsolvable.  Raises Fault at the first
-    check that fails."""
+def check(sp: SpeciesPuzzle) -> tuple[int, bool]:
+    """Check the compile of `sp`, its count and its listing or its reached set, and return the
+    number of shortest solutions listed, 0 when the puzzle is ill-posed or unsolvable, and
+    whether its reached sets were compared.  Raises Fault at the first check that fails."""
     got, want = _compiled(species_graph, sp), _compiled(reference_species_graph, sp)
     if got != want:
         raise Fault(f"species_graph gives {got!r}, the reference {want!r}")
     if isinstance(got, str):
-        return 0
+        return 0, False
     graph, states = got
     n = graph.n
     mirrors = [(tuple(a - v for a, v in zip(sp.amounts, vec)), 1 - flag) for vec, flag in states]
@@ -132,7 +136,8 @@ def check(sp: SpeciesPuzzle) -> int:
         raise Fault(f"a solvable trace ends on {name} with constant term {last[n]}, not on the "
                     f"g of {counted.length} crossings with {counted.count}")
     if counted is None:
-        return 0
+        check_reached(sp, graph, states)
+        return 0, True
     listed, previous = 0, ()
     for path in shortest_paths(counted):
         if not (len(path) == counted.length + 1 and path[0] == 1 and path[-1] == n
@@ -148,7 +153,23 @@ def check(sp: SpeciesPuzzle) -> int:
     if listed != counted.count:
         raise Fault(f"shortest_paths lists {listed} paths, count_shortest_paths counts "
                     f"{counted.count}")
-    return listed
+    return listed, False
+
+
+def check_reached(sp: SpeciesPuzzle, graph, states) -> None:
+    """The reached set of an unsolvable puzzle, by the search, by the walk and by the reference."""
+    searched = set(digraph._search(graph, 1, graph.n)[0])
+    before = [1]  # row 0's support: the source alone
+    for _, support, settled in walk_rows(graph, 1):
+        if settled:
+            break
+        before = support
+    walked = set(before) | set(support)
+    vertex = {state: v for v, state in enumerate(states, start=1)}
+    referenced = {vertex[state] for state in reference_reachable(sp)}
+    if not searched == walked == referenced:
+        raise Fault(f"the reached set is {sorted(searched)} by the search, {sorted(walked)} by "
+                    f"the walk and {sorted(referenced)} by the reference")
 
 
 def main() -> int:
@@ -158,23 +179,27 @@ def main() -> int:
           f"position, and {', '.join(ignoring)} with every such table that ignores the boat; "
           f"boats {BOATS.start}..{BOATS.stop - 1}; every boat-rule subset of the fitting loads; "
           "allow_empty_boat both ways", flush=True)
-    total = total_paths = 0
+    total = total_reached = total_paths = 0
     for amounts, reads_boat in SCOPES:
-        checked = solved = paths = 0
+        checked = solved = reached = paths = 0
         for table, allowed, sp in puzzles(amounts, reads_boat):
             try:
-                listed = check(sp)
+                listed, compared = check(sp)
             except Fault as fault:
                 print(f"FAIL amounts {amounts}, boat {sp.boat_capacity}, allow_empty_boat "
                       f"{sp.allow_empty_boat}, loads allowed {sorted(allowed)}, bank rule false "
                       f"on {sorted(pair for pair, ok in table.items() if not ok)}: {fault}")
                 return 1
             checked, solved, paths = checked + 1, solved + bool(listed), paths + listed
-        total, total_paths = total + checked, total_paths + paths
+            reached += compared
+        total, total_reached, total_paths = (total + checked, total_reached + reached,
+                                             total_paths + paths)
         print(f"amounts {amounts}{'' if reads_boat else ', bank rules ignoring the boat'}: "
-              f"{checked:,} puzzles checked, {solved:,} solvable, "
+              f"{checked:,} puzzles checked, {solved:,} solvable, {reached:,} unsolvable with "
+              f"the reached set equal by search, walk and reference, "
               f"{paths:,} shortest solutions listed", flush=True)
-    print(f"{total:,} puzzles checked, {total_paths:,} shortest solutions listed, 0 failed; "
+    print(f"{total:,} puzzles checked, {total_reached:,} reached sets equal three ways, "
+          f"{total_paths:,} shortest solutions listed, 0 failed; "
           f"{time.perf_counter() - started:.1f} s")
     return 0
 

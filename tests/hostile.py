@@ -7,20 +7,23 @@ seconds it may take; a line that ends in `> path` sends its stdout to that
 file.  The rows run one at a time, each in a child process under a 256 MiB
 address-space cap (`RLIMIT_AS`) and its time limit.  A row passes when the
 child exits with its status in time, writes no `Traceback` to stderr and, when
-it refuses an input (exit 1), writes nothing to stdout.  A row may also pin
-its stdout: the byte count, the newline count and a sha256 prefix, which the
-run must match.  Each row prints its status and wall time.
+it refuses an input (exit 1), writes nothing to stdout and ends its stderr in
+one `error:` line of at most 200 bytes.  A row may also pin its stdout: the
+byte count, the newline count and a sha256 prefix, which the run must match.
+Each row prints its status and wall time; a run of 100 or more nines in its
+command line is printed as its length.
 
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
-The script exits 1 when a row that is not marked fails.  Stdlib only; its 24
-rows take about 46 s on a 2-core VM.
+The script exits 1 when a row that is not marked fails.  Stdlib only; its 27
+rows take about 50 s on a 2-core VM.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -30,6 +33,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 256 << 20  # bytes
+ERROR_LINE = 200  # bytes: the longest last stderr line a refusal may write
+NINES = "9" * 5000
 
 ROWS = [  # argv, the exit status it must give, its time limit in s, why it is known to fail,
     # and optionally the bytes, newlines and sha256 prefix its stdout must have
@@ -42,6 +47,8 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     # A trace reads no row past its last stage, so the rows before the meeting cost nothing.
     ("trace 2000 1 2 0 --steps 10", 0, 5, None),
     ("trace 3000 1 2 0 --steps 10 --format json --deterministic", 0, 5, None),
+    # JSON's verdict is a search without labels: the DAG count's 888 MiB of labels are not built.
+    ("trace 49999 1 2 0 --steps 1 --format json --deterministic", 0, 5, None),
     # `solve --all` streams its listing in both formats, so the cap holds the 254,114 solutions
     # of (14,2,3,-1) in text and the 67,500 of (6,5,2,-1) in JSON, which needed 626 MB before
     # its array streamed.  The pins hold their bytes too: the corpus skips `--all` at negative
@@ -57,6 +64,9 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     # A full disk: `error: write failed: ...` and exit 1, no traceback.  The check that a
     # refusal writes nothing to stdout cannot see this row: /dev/full keeps no byte.
     ("count 3 3 2 0 > /dev/full", 1, 5, None),
+    # A refusal cuts the long numbers it echoes, so its one error line stays short.
+    (f"count 3 {NINES} 2 0", 1, 5, None),
+    (f"sequence 0 2 0 {NINES}", 1, 5, None),
     ("conjecture 0 2 0 200 --max-order 99", 0, 10, None),  # an order bound far above any fit
     ("count 49999 1 2 0 --method graph", 0, 10,
      "item 24: the DAG count keeps every label, about 981 MB"),
@@ -107,7 +117,8 @@ def run_row(argv: list[str], want: int, limit: float,
         wall = time.perf_counter() - started
         written = out.seek(0, os.SEEK_END)
         err.seek(0)
-        traceback = b"Traceback" in err.read()
+        stderr = err.read()
+        traceback = b"Traceback" in stderr
         got = _stdout_pin(out, len(pin[2])) if pin else None
     if status != want:
         return str(status), wall, f"exit {status}, not {want}"
@@ -115,6 +126,10 @@ def run_row(argv: list[str], want: int, limit: float,
         return str(status), wall, "a traceback on stderr"
     if want == 1 and written:
         return str(status), wall, f"{written} bytes on stdout from a refusal"
+    last = stderr.rstrip(b"\n").rpartition(b"\n")[2]
+    if want == 1 and not (re.match(rb"([\w.-]+: )?error: ", last) and len(last) <= ERROR_LINE):
+        return str(status), wall, (f"stderr ends in {last[:80]!r}, {len(last)} bytes, not in "
+                                   f"one error: line of at most {ERROR_LINE} bytes")
     if pin and got != pin:
         return str(status), wall, f"stdout (bytes, newlines, sha256) {got}, pinned {pin}"
     return str(status), wall, None
@@ -122,10 +137,11 @@ def run_row(argv: list[str], want: int, limit: float,
 
 def main() -> int:
     started = time.perf_counter()
-    width = max(len(row[0]) for row in ROWS)
+    shown = [re.sub(r"9{100,}", lambda run: f"<{len(run[0]):,} nines>", row[0]) for row in ROWS]
+    width = max(map(len, shown))
     print(f"{'exit':>4} {'want':>4} {'wall s':>7}  {'argv':<{width}} result", flush=True)
     failed = known = 0
-    for line, want, limit, why, *pin in ROWS:
+    for (line, want, limit, why, *pin), display in zip(ROWS, shown):
         status, wall, fault = run_row(line.split(), want, limit, *pin)
         if fault is None:
             result = "ok" + (f" (marked known, {why})" if why else "")
@@ -135,7 +151,7 @@ def main() -> int:
         else:
             failed += 1
             result = f"FAIL: {fault}"
-        print(f"{status:>4} {want:>4} {wall:7.2f}  {line:<{width}} {result}", flush=True)
+        print(f"{status:>4} {want:>4} {wall:7.2f}  {display:<{width}} {result}", flush=True)
     print(f"{len(ROWS)} rows, {known} known, {failed} failed; "
           f"{time.perf_counter() - started:.1f} s")
     return 1 if failed else 0

@@ -380,6 +380,8 @@ class TestTraceMemory:
         (("trace", "600", "1", "2", "0", "--steps", "5"), 2),
         (("trace", "600", "1", "2", "0", "--steps", "5", "--format", "json"), 2),
         (("trace", "150", "1", "2", "0"), 1),  # ends on g150: 300 rows of 605 entries
+        # JSON's verdict is a search without labels, not the DAG count's big integers.
+        (("trace", "3000", "1", "2", "0", "--steps", "5", "--format", "json"), 8),
     ])
     def test_peak(self, monkeypatch, argv, mib):
         cli._parser()  # built once per process, so it is left out of every measurement
@@ -624,9 +626,11 @@ class TestMethodAgreement:
     LISTED = 500  # `solve --all` is checked where it lists at most this many solutions
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(2, 5), st.integers(-2, 2)))
-    def test_commands_agree_on_generated_instances(self, instance):
-        """count by each method and format, solve, solve --all, spell and trace give one answer."""
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(2, 5), st.integers(-2, 2)),
+           st.data())
+    def test_commands_agree_on_generated_instances(self, instance, data):
+        """count by each method and format, solve, solve --all, spell, trace and strategy give
+        one answer."""
         argv = list(map(str, instance))
         asked = [["solve"], *(["count", "--method", method]
                               for method in ("graph", "matrix", "transfer"))]
@@ -650,6 +654,14 @@ class TestMethodAgreement:
             constant = [c for c, exponents in doc["polynomials"][last] if not any(exponents)]
             assert (doc["solvable"], constant) == (
                 (True, [count]) if status == 0 else (False, [])), instance
+        # Each strategy that applies gives a valid script, no shorter than the shortest.
+        planned, out = _ask("strategy", *argv, "--format", "json")
+        assert planned == int(status == 1), instance
+        applicable = [] if planned else json.loads(out)["applicable"]
+        assert status == 0 or applicable == [], instance
+        for name in applicable:
+            doc = json.loads(_ask("strategy", *argv, "--name", name, "--format", "json")[1])
+            assert doc["valid"] is True and doc["move_count"] >= crossings, (instance, name)
         if status != 0:
             assert _ask("spell", *argv)[0] == status, instance
             return
@@ -661,13 +673,29 @@ class TestMethodAgreement:
         doc = json.loads(_ask("solve", *argv, "--all", "--format", "json")[1])
         assert [f"solution {k}: " + " ".join("[%d,%d,%d]" % tuple(state) for state in path)
                 for k, path in enumerate(doc["solutions"], start=1)] == text, instance
-        for index in (0, count - 1):
+        for index in (0, data.draw(st.integers(0, count - 1), label="index"), count - 1):
             doc = json.loads(_ask("spell", *argv, "--index", str(index), "--format", "json")[1])
             # Each crossing's line names the start bank after it; the boat alternates sides.
             banks = [instance[:2], *re.findall(r"start bank: (\d+) \w+, (\d+) \w+;",
                                                "\n".join(doc["transcript"]))]
             walked = " ".join("[%s,%s,%d]" % (*bank, (k + 1) % 2) for k, bank in enumerate(banks))
             assert text[index].split(": ")[1] == walked, (instance, index)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(-2, 6), st.integers(2, 4), st.integers(-1, 2), st.integers(1, 10))
+    def test_conjecture_lists_the_terms_of_sequence(self, surplus, boat, margin, terms):
+        """conjecture and sequence give one status and, when they run, the same terms."""
+        family = list(map(str, (surplus, boat, margin, terms)))
+        for fmt in ("text", "json"):
+            (status, out), (fitted, report) = (_ask(command, *family, "--format", fmt)
+                                               for command in ("sequence", "conjecture"))
+            assert status == fitted, (family, fmt)
+            if status != 0:
+                assert out == report == "", (family, fmt)
+            elif fmt == "json":
+                assert json.loads(out)["terms"] == json.loads(report)["terms"], family
+            else:
+                assert f"terms: {out}" in report.splitlines(keepends=True), family
 
 
 def _ask(*argv):
