@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNSOLVABLE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 _INT64_MAX = 2**63 - 1
 _MARKER = "\0"  # stands in for the streamed JSON field in the dump; no other field holds it
@@ -104,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # the reader has gone (`| head`), or the disk is full
+    except (OSError, KeyboardInterrupt) as exc:  # a reader gone (`| head`), a full disk, Ctrl-C
         if sys.stdout is not sys.__stdout__:
             raise  # a stream the caller put in place is the caller's to handle
         # Closing the stream drops what it still holds, so the flush at exit cannot fail;
@@ -113,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.close()
         except OSError:
             pass
+        if isinstance(exc, KeyboardInterrupt):
+            print("error: interrupted", file=sys.stderr)
+            return EXIT_INTERRUPTED
         if not isinstance(exc, BrokenPipeError):
             print(f"error: write failed: {exc.strerror}", file=sys.stderr)
         return 1  # Python's own exit status on a broken pipe
@@ -171,7 +175,8 @@ def _parser() -> _Parser:
         "Command-line interface. Exit codes: 0 for success (including a solvable instance), "
         "2 when the instance is provably unsolvable, 1 on usage errors and, with the one line "
         "'error: out of memory' or 'error: write failed: <reason>', when memory runs out or "
-        "stdout cannot be written, at any point. A stdout closed before the output ends "
+        "stdout cannot be written, at any point. An interrupt (Ctrl-C) stops the command with "
+        "the one line 'error: interrupted' and status 130. A stdout closed before the output ends "
         "(`| head`), after `--help` or `--version` too, stops the command quietly with status "
         "1. Text output is deterministic; JSON output carries a timing field unless "
         "--deterministic is given. Every usage error is reported before the first byte of "

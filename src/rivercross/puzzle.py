@@ -58,7 +58,7 @@ class ParamError(ValueError):
 
 
 # Size limits, read by `validate_params` alone: the state box (M+1)(C+1) bounds the states and
-# the crossing bound 2(M+1)(C+1)L the compile, which tries each load from each state.  At 9.3
+# the crossing bound 2(M+1)(C+1)L the edges, at most one per state and load.  At 9.3
 # million, (54, 54, 54, -54) counts in 0.7 s; at 1.6e10, (300, 300, 600, -600) took over 60 s.
 MAX_STATE_BOX = 100_000
 MAX_CROSSINGS = 10_000_000
@@ -199,8 +199,8 @@ def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]
     """State graph of a species puzzle, compiled as rule tables, then numbering, then wiring.
 
     It is palindromic: vertex n+1-v is the complement of v (banks swapped, boat flipped), every
-    edge flips the boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.
-    `meet_in_the_middle` relies on it.  Raises ValueError when the puzzle is ill-posed."""
+    edge flips the boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.  The wiring
+    and `meet_in_the_middle` rely on it.  Raises ValueError when the puzzle is ill-posed."""
     alone, with_boat = _rule_tables(sp)
     states = _legal_states(sp.amounts, alone, with_boat)
     return Digraph(_crossings(sp, states)), states
@@ -238,26 +238,26 @@ def _legal_states(amounts: tuple, alone: list, with_boat: list) -> tuple[Species
 
 
 def _crossings(sp: SpeciesPuzzle, states: tuple[SpeciesState, ...]) -> tuple[tuple[int, ...], ...]:
-    """Each state's sorted row of successors.  A crossing subtracts (forward) or adds (back)
-    the load's mixed-radix offset, on a radix padded so that a load fits exactly when it
-    lands on a legal state."""
-    # padded is the radix with spare[k] more values either side of digit k: no crossing carries.
+    """Each state's sorted row of successors.  From the start bank, a crossing subtracts the
+    load's offset, on a mixed radix padded so that a load fits exactly when it lands on a legal
+    state.  Crossings reverse, so by the palindrome n+1-v's row is v's, j to n+1-j, reversed."""
+    # padded is the radix with spare[k] more values below digit k: no crossing borrows, and a
+    # load that the start bank cannot hold lands off the box, on a 0.
     spare = [min(a, sp.boat_capacity) for a in sp.amounts]
-    sizes = [a + 1 + 2 * s for a, s in zip(sp.amounts, spare)]
+    sizes = [a + 1 + s for a, s in zip(sp.amounts, spare)]
     padded = [prod(sizes[k + 1:]) for k in range(len(sizes))]
     spots = [sum(map(mul, map(add, vec, spare), padded)) for vec, _ in states]
-    vertex = ([0] * prod(sizes), [0] * prod(sizes))  # vertex[flag][spot], 0 off the legal states
+    across = [0] * prod(sizes)  # across[spot]: the vertex there with the boat across, else 0
     for v, (spot, (_, flag)) in enumerate(zip(spots, states), start=1):
-        vertex[flag][spot] = v
-    # A load that the leaving bank cannot hold lands off the box, on a 0.
+        if not flag:
+            across[spot] = v
     offsets = [sum(map(mul, load, padded)) for load in species_loads(sp)]
-    shifts = (offsets, [-o for o in offsets])  # shifts[flag]: forward crossings subtract
-    rows = []
-    for spot, (_, flag) in zip(spots, states):
-        into = vertex[1 - flag]
-        row = [j for shift in shifts[flag] if (j := into[spot + shift])]
-        row.sort()
-        rows.append(tuple(row))
+    n = len(states)
+    rows = [()] * n
+    for v, (spot, (_, flag)) in enumerate(zip(spots, states), start=1):
+        if flag:
+            row = sorted([j for o in offsets if (j := across[spot - o])])
+            rows[v - 1], rows[n - v] = tuple(row), tuple([n + 1 - j for j in reversed(row)])
     return tuple(rows)
 
 

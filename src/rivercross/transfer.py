@@ -69,10 +69,10 @@ def cleanup(poly: Polynomial, sp: SpeciesPuzzle, boat_on_start: bool) -> Polynom
 
 
 def legal_state_bound(sp: SpeciesPuzzle) -> int:
-    """Number of legal states; `trace` prints an unsolvable instance's stages one past it.
+    """The outcome's `states_bound`: `trace` prints an unsolvable instance's stages one past it.
 
-    For puzzles whose bank rule ignores the boat this is the number of legal
-    population vectors; otherwise each (vector, boat side) pair counts.
+    The number of legal vectors when each is legal with the boat on either side, as whenever the
+    bank rule ignores the boat; otherwise the number of legal (vector, boat side) states.
     """
     states = sp.state_graph[1]
     vectors = {vec for vec, _ in states}

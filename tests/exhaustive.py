@@ -30,7 +30,7 @@ side.  On each puzzle it checks that
 It prints the scope and the number of puzzles checked, of reached sets
 compared and of paths listed, so a shrunken scope shows, and at the first
 failure names the puzzle and exits 1.  Stdlib only, no pytest; it takes about
-45 s on a 2-core VM, so it stays out of tier-1 and CI runs it on its own.
+35 s on a 2-core VM, so it stays out of tier-1 and CI runs it on its own.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def check(sp: SpeciesPuzzle) -> tuple[int, bool]:
         raise Fault(f"a solvable trace ends on {name} with constant term {last[n]}, not on the "
                     f"g of {counted.length} crossings with {counted.count}")
     if counted is None:
-        check_reached(sp, graph, states)
+        check_reached(graph, states, want)
         return 0, True
     listed, previous = 0, ()
     for path in shortest_paths(counted):
@@ -156,8 +156,9 @@ def check(sp: SpeciesPuzzle) -> tuple[int, bool]:
     return listed, False
 
 
-def check_reached(sp: SpeciesPuzzle, graph, states) -> None:
-    """The reached set of an unsolvable puzzle, by the search, by the walk and by the reference."""
+def check_reached(graph, states, reference) -> None:
+    """The reached set of an unsolvable puzzle, by the search, by the walk and by the reference,
+    which searches the reference graph and states that `check` built."""
     searched = set(digraph._search(graph, 1, graph.n)[0])
     before = [1]  # row 0's support: the source alone
     for _, support, settled in walk_rows(graph, 1):
@@ -166,7 +167,7 @@ def check_reached(sp: SpeciesPuzzle, graph, states) -> None:
         before = support
     walked = set(before) | set(support)
     vertex = {state: v for v, state in enumerate(states, start=1)}
-    referenced = {vertex[state] for state in reference_reachable(sp)}
+    referenced = {vertex[state] for state in reference_reachable(*reference)}
     if not searched == walked == referenced:
         raise Fault(f"the reached set is {sorted(searched)} by the search, {sorted(walked)} by "
                     f"the walk and {sorted(referenced)} by the reference")

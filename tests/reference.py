@@ -238,9 +238,9 @@ def reference_transfer_step(poly: Polynomial, sp: SpeciesPuzzle, forward: bool) 
             if coeff and reference_state_ok(sp, mono, not forward)}
 
 
-def reference_reachable(sp: SpeciesPuzzle) -> set[tuple[tuple[int, ...], int]]:
-    """Every state reachable from the initial one, by breadth-first search over direct crossings."""
-    graph, states = reference_species_graph(sp)
+def reference_reachable(graph: Digraph, states: tuple) -> set[tuple[tuple[int, ...], int]]:
+    """Every state reachable from the initial one, by breadth-first search over the crossings of
+    `reference_species_graph`, whose graph and states the caller passes as built."""
     seen = {1}
     queue = deque([1])
     while queue:

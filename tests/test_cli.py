@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -697,6 +698,24 @@ class TestMethodAgreement:
             else:
                 assert f"terms: {out}" in report.splitlines(keepends=True), family
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(-2, 6), st.integers(2, 4), st.integers(-1, 2), st.integers(1, 10))
+    def test_sequence_gives_the_count_of_each_member(self, surplus, boat, margin, terms):
+        """Term i of sequence is count's answer for member i, and `-` or null exactly where
+        count exits 2; a family that sequence refuses has a member that count refuses."""
+        family = list(map(str, (surplus, boat, margin, terms)))
+        for fmt in ("text", "json"):
+            status, out = _ask("sequence", *family, "--format", fmt)
+            members = [_answer(*_ask("count", str(i + surplus), str(i), *family[1:3],
+                                     "--format", fmt)) for i in range(1, terms + 1)]
+            if status != 0:
+                assert out == "" and status in [answer[0] for answer in members], (family, fmt)
+                continue
+            got = (json.loads(out)["terms"] if fmt == "json" else
+                   [None if term == "-" else term for term in out.strip()[1:-1].split(", ")])
+            assert [None if term is None else int(term) for term in got] == [
+                {0: count, 2: None}[status] for status, _, count in members], (family, fmt)
+
 
 def _ask(*argv):
     """The status and stdout of one in-process run, its stderr dropped; a JSON stdout must be
@@ -822,6 +841,24 @@ class TestClosedStdout:
             main(["solve", "3", "3", "2", "0"])
         assert raised.value.errno == code
         assert not stream.closed
+
+
+class TestInterrupt:
+    """Ctrl-C ends a run with one line and status 130, 128 + SIGINT, not with a traceback."""
+
+    def test_an_interrupted_listing_ends_in_one_line(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        # A job that a shell starts in the background ignores SIGINT, and a child inherits that.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rivercross.cli", "solve", "30", "1", "2", "0", "--all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)  # drains stdout, which the close at exit flushes
+        assert first == b"M=30 C=1 B=2 d=0\n"
+        assert (proc.returncode, err) == (cli.EXIT_INTERRUPTED, b"error: interrupted\n")
 
 
 class _Failing(io.StringIO):

@@ -300,7 +300,7 @@ class TestSolveByTransfer:
             unsolvable += 1
             g, f = transfer_trace(sp, out.iterations_run).steps[-1]
             supports = {(vec, 0) for vec in g} | {(vec, 1) for vec in f}
-            assert supports == reference_reachable(sp), sp.amounts
+            assert supports == reference_reachable(*reference_species_graph(sp)), sp.amounts
         assert unsolvable == 284
 
     def test_single_pair(self):
@@ -333,6 +333,11 @@ class TestLegalStateBound:
     def test_boat_independent_instances(self):
         assert legal_state_bound(mc_species(McParams(3, 3, 2, 0))) == 10
         assert legal_state_bound(mc_species(McParams(4, 4, 2, 0))) == 13
+        # This rule reads the boat, yet each legal vector is legal on both sides: (1,) with the
+        # boat on neither, so its 4 states count as their 2 vectors.
+        sp = SpeciesPuzzle(("a",), (2,), 2, lambda v, present: v != (1,) if present else True,
+                           lambda load: True)
+        assert (len(sp.state_graph[1]), legal_state_bound(sp)) == (4, 2)
 
     def test_side_dependent_counts_pairs(self):
         assert legal_state_bound(wolf_goat_cabbage()) == 10
