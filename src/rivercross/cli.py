@@ -6,7 +6,7 @@ JSON mode writes the bytes of one sorted-key `json.dumps` of the whole document.
 one field is an iterator: a marker stands in for it in that dump, and `_streamed` frames it
 there one element at a time.  So `solve` writes one solution at a time, in memory bounded by
 the state graph, and `trace` one stage at a time; each element is joined from text made once
-per state, not sent through json's encoder, and text `solve` joins its lines the same way.
+per state, not sent through json's encoder, and text `solve` and `trace` join theirs so too.
 """
 
 from __future__ import annotations
@@ -135,34 +135,35 @@ def _streamed(items, ends: str):
     yield ends if sep == ends[0] else "\n  " + ends[1]
 
 
-def _terms_writer(states: tuple[SpeciesState, ...]) -> Callable[[list[int], list[int]], str]:
+def _terms_writer(states, tail, sep: str) -> Callable[[list[int], list[int]], str]:
     """A writer of a trace stage, given as its walk row (counts, support) on the state graph
-    whose vertices `states` names: the text of `json.dumps(polynomial_terms(poly), indent=2)`
-    for the stage's polynomial, each newline followed by the indent of a streamed element.
-
-    A term is `head`, its coefficient, then `rest[v]`: vertex v's exponents and the next
-    term's `head`, made once per vertex.  A row holds one boat side, so no two of its vertices
-    share populations, and `rank[v]`, the place of v's populations in `polynomial_terms` order,
-    orders it.  So a term costs its coefficient's digits and C-level lookups, no Python call."""
+    whose vertices `states` names: each term of its polynomial in `polynomial_terms` order, as
+    the coefficient, then `tail(e)` of the exponents e, made once per vertex; the last `sep` is cut.
+    A row holds one boat side, so no two of its vertices share populations, and `rank[v]`, the
+    place of v's populations in that order, orders it: a term costs C-level lookups, no call."""
     from .transfer import polynomial_terms
     vecs = [vec for vec, _ in states]
     place = {vec: i for i, (_, vec) in enumerate(polynomial_terms(dict.fromkeys(vecs)))}
     rank = [0, *map(place.__getitem__, vecs)]
-    head = _PAD + "  [" + _PAD + "    "
-    exponents = ("[" + ",".join([_PAD + "      %d"] * len(vecs[0])) + _PAD + "    ]"
-                 if vecs[0] else "[]")
-    rest = [None, *map(("," + _PAD + "    " + exponents + _PAD + "  ]," + head).__mod__, vecs)]
+    rest = [None, *map(tail, vecs)]
 
     def write(counts: list[int], support: list[int]) -> str:
-        if not support:
-            return "[]"
         support = sorted(support, key=rank.__getitem__)
         parts = [""] * (2 * len(support))
         parts[::2] = map(str, map(counts.__getitem__, support))
         parts[1::2] = map(rest.__getitem__, support)
-        return "[" + head + "".join(parts)[:-len("," + head)] + _PAD + "]"
+        return "".join(parts)[:-len(sep)]
 
     return write
+
+
+def _json_stage(states: tuple[SpeciesState, ...]) -> Callable[[list[int], list[int]], str]:
+    """A trace stage as `json.dumps(polynomial_terms(poly), indent=2)` writes it, at a streamed
+    element's indent: per term `head`, the coefficient, then exponents from one `%` template."""
+    head, width = _PAD + "  [" + _PAD + "    ", len(states[0][0])
+    exponents = "[" + ",".join([_PAD + "      %d"] * width) + _PAD + "    ]" if width else "[]"
+    write = _terms_writer(states, f",{_PAD}    {exponents}{_PAD}  ],{head}".__mod__, "," + head)
+    return lambda *row: "[" + head + write(*row) + _PAD + "]" if row[1] else "[]"
 
 
 @functools.cache
@@ -357,17 +358,17 @@ def _cmd_count(args):
 
 
 def _cmd_trace(args):
-    from .transfer import format_polynomial, legal_state_bound, trace_rows
+    from .transfer import legal_state_bound, trace_rows
     p = _params(args)
     sp = mc_species(p)
-    # One lazy pass over the stages, read by one format only; text's verdict reads the last one,
-    # JSON's "solvable" a search from 1 to n.  "f10" sorts before "f2", so JSON holds every row.
+    # One lazy pass over the stages, each written by `_terms_writer` in the one format read; text's
+    # verdict reads the last, JSON's "solvable" a search.  "f10" < "f2", so JSON holds every row.
     rows = trace_rows(sp, args.steps)
     graph, states = sp.state_graph
     bound = legal_state_bound(sp)
 
     def polynomials():
-        write = _terms_writer(states)
+        write = _json_stage(states)
         stages = {name: (counts, support) for name, counts, support in rows}
         return _streamed((f'"{name}": ' + write(*stages[name]) for name in sorted(stages)), "{}")
 
@@ -375,11 +376,12 @@ def _cmd_trace(args):
                "solvable": lambda: shortest_distance(graph, 1, graph.n) is not None,
                "states_bound": bound}
 
-    def text():
+    def text():  # `format_polynomial`'s text: walk counts are positive, a 1 before "*" is left out
+        write = _terms_writer(states, lambda vec: "".join(
+            f"*x{i}^{e}" if e > 1 else f"*x{i}" for i, e in enumerate(vec, 1) if e) + " + ", " + ")
         yield _params_line(p)
         for length, (name, counts, support) in enumerate(rows):  # stage `name` is A^length's row
-            poly = {states[v - 1][0]: counts[v] for v in support}
-            yield f"{name} = {format_polynomial(poly)}"
+            yield f"{name} = " + ((" " + write(counts, support)).replace(" 1*", " ")[1:] or "0")
         if args.steps is None and name[0] == "g":
             yield (f"success: constant term {counts[graph.n]} at stage {name[1:]}; "
                    f"solvable in {length} crossings, {counts[graph.n]} solutions")

@@ -16,6 +16,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
+from .digraph import shortest_distance
 from .puzzle import McParams, mc_species, validate_params
 from .transfer import format_signed_sum, solve_by_transfer
 
@@ -57,8 +58,10 @@ def family_params(fs: FamilySpec, i: int) -> McParams:
 def family_counts(fs: FamilySpec, start: int = 1) -> list[int | None]:
     """Shortest-solution counts for terms start..start+num_terms-1; None marks unsolvable.
 
-    Counting goes through the transfer iteration, which stays exact and fast
-    as the instances grow.  `start=0` admits the cannibal-free base instance.
+    Each member is counted by the transfer iteration, except that once a member is unsolvable,
+    a later one whose goal a search (`shortest_distance`, O(edges)) cannot reach gets None with
+    no walk, where an unsolvable walk runs until its supports settle.  `start=0` admits the
+    cannibal-free base instance.
     """
     if fs.num_terms < 1:
         raise ValueError("need at least one term")
@@ -66,8 +69,13 @@ def family_counts(fs: FamilySpec, start: int = 1) -> list[int | None]:
         validate_params(family_params(fs, max(i, 1)))
     out: list[int | None] = []
     for i in range(start, start + fs.num_terms):
-        outcome = solve_by_transfer(mc_species(family_params(fs, i)))
-        out.append(outcome.count if outcome.solvable else None)
+        sp = mc_species(family_params(fs, i))
+        graph = sp.state_graph[0]
+        if None in out and shortest_distance(graph, 1, graph.n) is None:
+            out.append(None)
+        else:
+            outcome = solve_by_transfer(sp)
+            out.append(outcome.count if outcome.solvable else None)
     return out
 
 

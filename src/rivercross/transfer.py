@@ -125,7 +125,7 @@ def transfer_trace(sp: SpeciesPuzzle, stages: int) -> TransferTrace:
 
 def polynomial_terms(poly: Polynomial) -> list[tuple[int, Exponents]]:
     """(coefficient, exponents) pairs in display order: descending total degree, then
-    descending exponents.  `format_polynomial` and JSON `trace` both read this order.
+    descending exponents.  `format_polynomial` and `trace`'s stage writer read this order.
 
     The sort by total degree is stable, so it keeps the exponents' order among equals."""
     return [(poly[mono], mono) for mono in sorted(sorted(poly, reverse=True), key=sum, reverse=True)]

@@ -28,8 +28,12 @@ does, it exits 0.  The workload is what the byte-identity corpus
 - `sequence 0 2 0 0` and `conjecture 0 2 0 0`, a family with no terms, in
   text and JSON;
 - `trace 300 1 2 0 --steps 100` (201 stages, 20,501 terms, coefficients up
-  to 331 bits) and `trace 80 80 8 0`, in text and JSON, so that the JSON
-  stage writer meets big coefficients and many terms.
+  to 331 bits), `trace 80 80 8 0` and the unsolvable `trace 40 39 2 1` at its
+  default length, in text and JSON, so that the stage writer meets big
+  coefficients, many terms and many stages;
+- `sequence 0 2 0 60`, `sequence 1 3 1 30` and `conjecture 0 3 0 40`, in text
+  and JSON: families whose members end in an unsolvable run, which each member
+  after the first unsolvable one settles by a search.
 
 Stdlib only.  It takes under a minute on a 2-core VM, so it stays out of
 tier-1 (pytest collects only `test_*.py`); CI runs it on pull requests.
@@ -148,9 +152,13 @@ def workload():
     for command, fmt in product(("sequence", "conjecture"), formats):
         argv = [command, "0", "2", "0", "0", *fmt]
         yield "cli " + " ".join(argv), cli(argv)
-    for instance, fmt in product((["300", "1", "2", "0", "--steps", "100"], ["80", "80", "8", "0"]),
-                                 formats):
+    for instance, fmt in product((["300", "1", "2", "0", "--steps", "100"], ["80", "80", "8", "0"],
+                                  ["40", "39", "2", "1"]), formats):
         argv = ["trace", *instance, *fmt]
+        yield "cli " + " ".join(argv), cli(argv)
+    for family, fmt in product(("sequence 0 2 0 60", "sequence 1 3 1 30", "conjecture 0 3 0 40"),
+                               formats):
+        argv = [*family.split(), *fmt]
         yield "cli " + " ".join(argv), cli(argv)
 
 

@@ -4,19 +4,22 @@
 
 Each row of `ROWS` holds a command line, the exit status it must give and the
 seconds it may take; a line that ends in `> path` sends its stdout to that
-file.  The rows run one at a time, each in a child process under a 256 MiB
-address-space cap (`RLIMIT_AS`) and its time limit.  A row passes when the
-child exits with its status in time, writes no `Traceback` to stderr and, when
-it refuses an input (exit 1), writes nothing to stdout and ends its stderr in
-one `error:` line of at most 200 bytes.  A row may also pin its stdout: the
-byte count, the newline count and a sha256 prefix, which the run must match.
-Each row prints its status and wall time; a run of 100 or more nines in its
-command line is printed as its length.
+file, and one that ends in `^C s` sends the child SIGINT s seconds after it
+starts.  The rows run one at a time, each in a child process under a 256 MiB
+address-space cap (`RLIMIT_AS`) and its time limit, with SIGINT at its default
+action even where the shell that runs the script starts children with it
+ignored.  A row passes when the child exits with its status in time, writes no
+`Traceback` to stderr and, when it refuses an input (exit 1), writes nothing to
+stdout and ends its stderr in one `error:` line of at most 200 bytes; an
+interrupted row ends its stderr in the one line `error: interrupted`.  A row
+may also pin its stdout: the byte count, the newline count and a sha256
+prefix, which the run must match.  Each row prints its status and wall time;
+a run of 100 or more nines in its command line is printed as its length.
 
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
-The script exits 1 when a row that is not marked fails.  Stdlib only; its 27
-rows take about 50 s on a 2-core VM.
+The script exits 1 when a row that is not marked fails.  Stdlib only; its 28
+rows, 7 of them known, take about 50 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -68,14 +72,16 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     (f"count 3 {NINES} 2 0", 1, 5, None),
     (f"sequence 0 2 0 {NINES}", 1, 5, None),
     ("conjecture 0 2 0 200 --max-order 99", 0, 10, None),  # an order bound far above any fit
+    # Ctrl-C half-way through a listing of 13 digits' worth of solutions: status 130, one line.
+    ("solve 30 1 2 0 --all ^C 0.5", 130, 5, None),
     ("count 49999 1 2 0 --method graph", 0, 10,
      "item 24: the DAG count keeps every label, about 981 MB"),
     ("solve 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
     ("spell 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
     ("trace 2000 1 2 0", 0, 10, "item 27: it streams 4,000 stages, minutes of writing"),
     ("count 10000 1 2 0", 0, 10, "item 27: the walk is unbounded, over 25 s"),
-    ("sequence 0 2 0 300", 0, 5,
-     "items 16 and 27: each member compiles and walks, 4.7-6.4 s on a 2-core VM"),
+    # Members 4..300 are unsolvable: each after the first is searched, not walked.
+    ("sequence 0 2 0 300", 0, 5, None),
     ("sequence 49998 2 0 1", 0, 5, "item 27: its one member, (49999,1,2,0), walks"),
     ("count 49998 1 2 0 --method matrix", 0, 5, "item 27: the walk is unbounded"),
 ]
@@ -83,6 +89,7 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
 
 def _cap():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # a shell may start children ignoring it
 
 
 def _stdout_pin(out, digits: int) -> tuple[int, int, str]:
@@ -100,19 +107,28 @@ def run_row(argv: list[str], want: int, limit: float,
             pin: tuple[int, int, str] | None = None) -> tuple[str, float, str | None]:
     """The child's status, its wall time, and what is wrong with the run, or None.
 
-    An argv that ends in `> path` sends the child's stdout to that file instead."""
+    An argv that ends in `> path` sends the child's stdout to that file instead, and one that
+    ends in `^C s` sends the child SIGINT after s seconds."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     argv, sink = (argv[:-2], argv[-1]) if argv[-2:-1] == [">"] else (argv, None)
+    argv, delay = (argv[:-2], float(argv[-1])) if argv[-2:-1] == ["^C"] else (argv, None)
     # Files, not pipes, so a row that writes without end costs disk here, not memory.
     with (open(sink, "wb") if sink else tempfile.TemporaryFile()) as out, \
             tempfile.TemporaryFile() as err:
         started = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "rivercross.cli", *argv], env=env,
+                                 stdout=out, stderr=err, preexec_fn=_cap)
         try:
-            status = subprocess.run([sys.executable, "-m", "rivercross.cli", *argv], env=env,
-                                    stdout=out, stderr=err, timeout=limit,
-                                    preexec_fn=_cap).returncode
+            if delay is not None:
+                try:
+                    child.wait(delay)
+                except subprocess.TimeoutExpired:
+                    child.send_signal(signal.SIGINT)
+            status = child.wait(max(0.0, limit - (time.perf_counter() - started)))
         except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
             return "-", time.perf_counter() - started, f"no exit within {limit} s"
         wall = time.perf_counter() - started
         written = out.seek(0, os.SEEK_END)
@@ -127,6 +143,8 @@ def run_row(argv: list[str], want: int, limit: float,
     if want == 1 and written:
         return str(status), wall, f"{written} bytes on stdout from a refusal"
     last = stderr.rstrip(b"\n").rpartition(b"\n")[2]
+    if delay is not None and last != b"error: interrupted":
+        return str(status), wall, f"stderr ends in {last[:80]!r}, not in error: interrupted"
     if want == 1 and not (re.match(rb"([\w.-]+: )?error: ", last) and len(last) <= ERROR_LINE):
         return str(status), wall, (f"stderr ends in {last[:80]!r}, {len(last)} bytes, not in "
                                    f"one error: line of at most {ERROR_LINE} bytes")

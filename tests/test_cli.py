@@ -13,7 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rivercross import McParams, Strategy, cli, mc_species, solve_by_transfer, transfer
@@ -270,6 +270,7 @@ class TestTrace:
             assert len(rows) == steps
 
     def test_json_formats_no_polynomial(self, capsys, monkeypatch):
+        # Neither format calls the formatter; each text stage line is its text all the same.
         real = transfer.format_polynomial
         calls = []
 
@@ -278,11 +279,28 @@ class TestTrace:
             return real(poly)
 
         monkeypatch.setattr(transfer, "format_polynomial", counted)
-        status, _, _ = run(capsys, "trace", "4", "4", "2", "0", "--format", "json")
-        assert (status, len(calls)) == (0, 0)
-        status, out, _ = run(capsys, "trace", "4", "4", "2", "0")
-        polynomial_lines = [line for line in out.splitlines() if " = " in line]
-        assert status == 0 and len(calls) == len(polynomial_lines) == 29  # f0, then g1..f14
+        for fmt in ("json", "text"):
+            status, out, _ = run(capsys, "trace", "4", "4", "2", "0", "--format", fmt)
+            assert (status, len(calls)) == (0, 0), fmt
+        assert _stage_lines(out) == _formatted_stages(McParams(4, 4, 2, 0), None, real)
+        assert len(_stage_lines(out)) == 29  # f0, then g1..f14
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(2, 5), st.integers(-2, 2),
+           st.none() | st.integers(0, 20))
+    # Stages that hold the coefficients 1, 11, 21 and 101 and the constant term 1, which
+    # leaving out a unit coefficient must tell apart: (1,1,2,0) has the constant term 1.
+    @example(1, 1, 2, 0, None)
+    @example(2, 2, 3, -2, 12)
+    @example(1, 3, 2, -2, None)
+    @example(4, 3, 3, -1, None)
+    def test_text_stages_are_format_polynomial(self, m, c, b, d, steps):
+        """Each text stage line is `format_polynomial` of its row, decoded into a polynomial."""
+        p = McParams(m, c, b, d)
+        steps_flag = [] if steps is None else ["--steps", str(steps)]
+        status, out = _ask("trace", *map(str, p), *steps_flag)
+        assume(status == 0)  # else the instance or the steps are refused
+        assert _stage_lines(out) == _formatted_stages(p, steps, transfer.format_polynomial), p
 
     def test_negative_steps_is_usage_error(self, capsys):
         status, _, err = run(capsys, "trace", "3", "3", "2", "0", "--steps", "-1")
@@ -306,6 +324,18 @@ class TestTrace:
                                    "--format", fmt)
             assert (status, out) == (1, "")
             assert err == "error: stages must be at most 22, twice an unsolvable trace's default\n"
+
+
+def _stage_lines(out):
+    return [line for line in out.splitlines() if " = " in line]
+
+
+def _formatted_stages(p, steps, formatter):
+    """The stage lines of `trace`, each row decoded into a polynomial and formatted."""
+    sp = mc_species(p)
+    states = sp.state_graph[1]
+    return [f"{name} = {formatter({states[v - 1][0]: counts[v] for v in support})}"
+            for name, counts, support in transfer.trace_rows(sp, steps)]
 
 
 class _Recorder(io.StringIO):
@@ -429,7 +459,7 @@ class TestJsonStreams:
         """A stage written from its walk row is the text json's encoder writes, at its indent."""
         states = tuple((mono, 0) for mono in poly) or (((0, 0), 0),)  # vertex v: v-th monomial
         counts, support = [0, *poly.values()], list(range(len(poly), 0, -1))
-        write = cli._terms_writer(states)
+        write = cli._json_stage(states)
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -846,19 +876,32 @@ class TestClosedStdout:
 class TestInterrupt:
     """Ctrl-C ends a run with one line and status 130, 128 + SIGINT, not with a traceback."""
 
-    def test_an_interrupted_listing_ends_in_one_line(self):
+    @staticmethod
+    def start(*argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         # A job that a shell starts in the background ignores SIGINT, and a child inherits that.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "rivercross.cli", "solve", "30", "1", "2", "0", "--all"],
+        return subprocess.Popen(
+            [sys.executable, "-m", "rivercross.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+
+    def test_an_interrupted_listing_ends_in_one_line(self):
+        proc = self.start("solve", "30", "1", "2", "0", "--all")
         first = proc.stdout.readline()
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)  # drains stdout, which the close at exit flushes
         assert first == b"M=30 C=1 B=2 d=0\n"
         assert (proc.returncode, err) == (cli.EXIT_INTERRUPTED, b"error: interrupted\n")
+
+    def test_an_interrupt_before_the_first_byte_ends_in_one_line(self):
+        # The walk of (10000,1,2,0) runs for over 25 s before count writes its first line.
+        proc = self.start("count", "10000", "1", "2", "0")
+        time.sleep(2)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (cli.EXIT_INTERRUPTED, b"", b"error: interrupted\n")
 
 
 class _Failing(io.StringIO):

@@ -57,6 +57,28 @@ class TestFamilyCounts:
         with pytest.raises(ValueError, match="amounts must be non-negative"):
             family_counts(FamilySpec(5, 3, 1, 4), start=-1)
 
+    @pytest.mark.parametrize("fs, searches, walks", [
+        (FamilySpec(0, 2, 0, 300), 296, 4),  # members 4..300 are unsolvable; 4 is walked
+        (FamilySpec(5, 3, 1, 40), 0, 40),  # every member is solvable
+    ])
+    def test_search_after_the_first_unsolvable_member(self, fs, searches, walks):
+        """Once a member is unsolvable, each later one is searched before it is walked."""
+        calls = {"search": 0, "walk": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        with mock.patch.object(families, "shortest_distance",
+                               counted("search", families.shortest_distance)), \
+                mock.patch.object(families, "solve_by_transfer",
+                                  counted("walk", families.solve_by_transfer)):
+            counts = family_counts(fs)
+        assert calls == {"search": searches, "walk": walks}
+        assert counts.count(None) == (297 if searches else 0)
+
     def test_start_zero_prepends_cannibal_free_instance(self):
         counts = family_counts(FamilySpec(9, 2, 0, 2), start=0)
         assert counts[0] == 1  # lone caravan of 9, forced schedule
