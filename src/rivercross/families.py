@@ -74,8 +74,7 @@ def family_counts(fs: FamilySpec, start: int = 1) -> list[int | None]:
         if None in out and shortest_distance(graph, 1, graph.n) is None:
             out.append(None)
         else:
-            outcome = solve_by_transfer(sp)
-            out.append(outcome.count if outcome.solvable else None)
+            out.append(solve_by_transfer(sp).count)
     return out
 
 

@@ -14,7 +14,7 @@ from functools import cached_property, partial
 from itertools import compress, product, repeat
 from math import prod
 from operator import add, mul
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .digraph import Digraph, count_shortest_paths, shortest_paths
 
@@ -196,45 +196,39 @@ def wolf_goat_cabbage() -> SpeciesPuzzle:
 
 
 def species_graph(sp: SpeciesPuzzle) -> tuple[Digraph, tuple[SpeciesState, ...]]:
-    """State graph of a species puzzle, compiled as rule tables, then numbering, then wiring.
+    """State graph of a species puzzle, compiled as rule tables, then wiring.
 
-    It is palindromic: vertex n+1-v is the complement of v (banks swapped, boat flipped), every
-    edge flips the boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.  The wiring
-    and `meet_in_the_middle` rely on it.  Raises ValueError when the puzzle is ill-posed."""
-    alone, with_boat = _rule_tables(sp)
-    states = _legal_states(sp.amounts, alone, with_boat)
+    The legal states are in vertex order, so numbering is reproducible: vertex 1 is the initial
+    state (everyone and the boat on the start bank), vertex n the goal (everyone and the boat
+    across), and the others sit between them in lexicographic order.  The graph is palindromic:
+    vertex n+1-v is the complement of v (banks swapped, boat flipped), every edge flips the
+    boat, and u -> v is an edge exactly when n+1-v -> n+1-u is one.  The wiring and
+    `meet_in_the_middle` rely on it.  Raises ValueError when the puzzle is ill-posed."""
+    near, far = _rule_tables(sp)
+    states = sorted([*zip(near, repeat(0)), *zip(far, repeat(1))])
+    # The goal, (0, ..., 0) without the boat, sorts first; the initial state, (amounts, 1), last.
+    states = (states[-1], *states[1:-1], states[0])
     return Digraph(_crossings(sp, states)), states
 
 
-def _rule_tables(sp: SpeciesPuzzle) -> tuple[list[bool], list[bool]]:
-    """`bank_rule` without the boat on each vector i of the box, in `product` order, then with it
-    on the far bank (vector N-1-i) of each i that passed.  That pair decides state (i, 0) and its
-    mirror (N-1-i, 1), so no pair is asked twice, nor one whose answer cannot matter.  Raises
-    ValueError on a negative amount, or when the initial position itself is unsafe: such a
+def _rule_tables(sp: SpeciesPuzzle) -> tuple[Iterator[tuple[int, ...]], ...]:
+    """The start banks of the legal states, first with the boat across, then with it at home.
+
+    `bank_rule` is asked without the boat on each vector i of the box, in `product` order, then
+    with it on the far bank (vector N-1-i) of each i that passed.  That pair decides state (i, 0)
+    and its mirror (N-1-i, 1), so no pair is asked twice, nor one whose answer cannot matter.
+    The same two orders, picked by those answers, give the vectors, so no box index is decoded.
+    Raises ValueError on a negative amount, or when the initial position itself is unsafe: such a
     puzzle is ill-posed, not unsolvable."""
     if min(sp.amounts, default=0) < 0:
         raise ValueError(f"amounts must be non-negative, got {sp.amounts}")
-    alone = list(map(sp.bank_rule, product(*(range(a + 1) for a in sp.amounts)), repeat(False)))
-    # Counting each digit down walks the far banks in the vectors' order.
-    far = compress(product(*(range(a, -1, -1) for a in sp.amounts)), alone)
-    with_boat = list(map(sp.bank_rule, far, repeat(True)))
+    up = [range(a + 1) for a in sp.amounts]
+    down = [r[::-1] for r in up]  # counting each digit down walks the far banks in up's order
+    alone = list(map(sp.bank_rule, product(*up), repeat(False)))
+    with_boat = list(map(sp.bank_rule, compress(product(*down), alone), repeat(True)))
     if not (alone[0] and with_boat[0]):
         raise ValueError("initial position violates the bank rule")
-    return alone, with_boat
-
-
-def _legal_states(amounts: tuple, alone: list, with_boat: list) -> tuple[SpeciesState, ...]:
-    """The legal states in vertex order, so numbering is reproducible.
-
-    Vertex 1 is the initial state (everyone and the boat on the start bank), vertex n the goal
-    (everyone and the boat across); the others sit between them in lexicographic order.  The
-    vectors come from `product` order, picked by the two rule tables, so none is decoded."""
-    near = compress(compress(product(*(range(a + 1) for a in amounts)), alone), with_boat)
-    # Counting each digit down picks the mirror, amounts - vec, of each legal vector.
-    far = compress(compress(product(*(range(a, -1, -1) for a in amounts)), alone), with_boat)
-    states = sorted([*zip(near, repeat(0)), *zip(far, repeat(1))])
-    # The goal, (0, ..., 0) without the boat, sorts first; the initial state, (amounts, 1), last.
-    return (states[-1], *states[1:-1], states[0])
+    return tuple(compress(compress(product(*box), alone), with_boat) for box in (up, down))
 
 
 def _crossings(sp: SpeciesPuzzle, states: tuple[SpeciesState, ...]) -> tuple[tuple[int, ...], ...]:

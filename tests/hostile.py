@@ -18,8 +18,8 @@ a run of 100 or more nines in its command line is printed as its length.
 
 A row marked known fails today for a reason that a ROADMAP item names.  It is
 reported and never fails the run; the change that mends it drops the mark.
-The script exits 1 when a row that is not marked fails.  Stdlib only; its 28
-rows, 7 of them known, take about 50 s on a 2-core VM.
+The script exits 1 when a row that is not marked fails.  Stdlib only; its 29
+rows, 8 of them known, take about 50 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ ROWS = [  # argv, the exit status it must give, its time limit in s, why it is k
     ("solve 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
     ("spell 49999 1 2 0", 0, 10, "item 24: the DAG count keeps every label"),
     ("trace 2000 1 2 0", 0, 10, "item 27: it streams 4,000 stages, minutes of writing"),
+    # Text `trace 700 1 2 0` streams its stages; JSON holds them all to write them in key order.
+    ("trace 700 1 2 0 --format json --deterministic > /dev/null", 0, 10,
+     "item 31: JSON trace holds every stage, out of memory"),
     ("count 10000 1 2 0", 0, 10, "item 27: the walk is unbounded, over 25 s"),
     # Members 4..300 are unsolvable: each after the first is searched, not walked.
     ("sequence 0 2 0 300", 0, 5, None),

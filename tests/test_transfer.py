@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rivercross import (
@@ -28,7 +28,7 @@ from rivercross.transfer import (
     trace_rows,
     transfer_trace,
 )
-from rivercross.digraph import count_shortest_walks
+from rivercross.digraph import count_shortest_paths, count_shortest_walks
 
 from classic import CLASSIC, CLASSIC_F, CLASSIC_G, oracle_puzzles, verdict_puzzles
 from reference import (
@@ -234,8 +234,15 @@ def graph_or_error(compile_graph, sp):
         return f"ValueError: {exc}"
 
 
+def zero_species(allow_empty_boat):
+    """The puzzle with no species: its box is the one empty vector, so it has only two states."""
+    return SpeciesPuzzle((), (), 1, lambda *_: True, lambda *_: True, allow_empty_boat)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(species_puzzles())
+@example(zero_species(True))
+@example(zero_species(False))
 def test_compile_asks_each_pair_once_and_matches_the_reference(sp):
     checks = Counter()
 
@@ -302,6 +309,23 @@ class TestSolveByTransfer:
             supports = {(vec, 0) for vec in g} | {(vec, 1) for vec in f}
             assert supports == reference_reachable(*reference_species_graph(sp)), sp.amounts
         assert unsolvable == 284
+
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_zero_species(self, empty):
+        # The empty crossing is the only load, so the goal is one crossing away or unreachable.
+        sp = zero_species(empty)
+        graph, states = sp.state_graph
+        assert states == (((), 1), ((), 0)) and legal_state_bound(sp) == 1
+        assert graph.neighbors == (((2,), (1,)) if empty else ((), ()))
+        counted, out = count_shortest_paths(graph, 1, 2), solve_by_transfer(sp)
+        if empty:
+            assert (counted.length, counted.count) == count_shortest_walks(graph, 1, 2) == (1, 1)
+            assert out.solvable and (out.crossings, out.count) == (1, 1)
+        else:
+            assert counted is None and count_shortest_walks(graph, 1, 2) is None
+            assert not out.solvable and out.count is None
+        names = [name for name, _, _ in trace_rows(sp)]
+        assert names == (["f0", "g1"] if empty else ["f0", "g1", "f1", "g2", "f2"])
 
     def test_single_pair(self):
         out = solve_by_transfer(mc_species(McParams(1, 1, 2, 0)))
